@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error.
-Files are read as raw bytes and mapped symbol-for-byte (latin-1), so any
-byte alphabet works; symbols not covered by the ordering spec are a
-validation error, never an implicit alphabet extension.
+Files, and ``decode``'s stdin, are read as raw bytes and mapped
+symbol-for-byte (latin-1), so any byte alphabet works; symbols not covered
+by the ordering spec are a validation error, never an implicit alphabet
+extension.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import sys
 from .alphabet import AlphabetOrdering
 from .fibwords import FibSpec
 from .parse import (
-    LexParse,
-    MalformedParseError,
     decode,
     from_dict,
     from_lines,
@@ -43,8 +42,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
-    """Input or usage problem; rendered to stderr and mapped to exit code 2."""
+class CliError(ValueError):
+    """Input or usage problem; like every ``ValueError``, rendered to stderr with exit code 2."""
 
 
 def _max_n() -> int:
@@ -64,19 +63,27 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--gen", help="generator spec: <fib|gib|T|phi>:<k>")
 
 
+def _read(path: str | None) -> str:
+    """Raw bytes of ``path`` (stdin when None), mapped symbol-for-byte."""
+    if path is None:
+        return sys.stdin.buffer.read().decode("latin-1")
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("latin-1")
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
+
+
 def _resolve_text(args: argparse.Namespace) -> str:
     if args.text is not None:
         if not args.text:
             raise CliError("--text must be non-empty")
         return args.text
     if args.file is not None:
-        try:
-            data = open(args.file, "rb").read()
-        except OSError as exc:
-            raise CliError(f"cannot read {args.file}: {exc}") from None
-        if not data:
+        text = _read(args.file)
+        if not text:
             raise CliError(f"{args.file} is empty")
-        return data.decode("latin-1")
+        return text
     spec = FibSpec.parse(args.gen)
     cap = _max_n()
     length = spec.length()
@@ -90,11 +97,8 @@ def _resolve_text(args: argparse.Namespace) -> str:
 
 def _resolve_ordering(args: argparse.Namespace, text: str) -> AlphabetOrdering:
     if getattr(args, "order", None):
-        try:
-            ordering = AlphabetOrdering.from_string(args.order)
-            ordering.require_covers(text)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        ordering = AlphabetOrdering.from_string(args.order)
+        ordering.require_covers(text)
         return ordering
     return AlphabetOrdering.standard(text)
 
@@ -111,12 +115,27 @@ def _ratio_str(r) -> str:
     return f"{r.numerator}/{r.denominator} ({float(r):.3f})"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _render(
+    args: argparse.Namespace,
+    obj: dict | None,
+    header: list[str],
+    rows: list[list],
+    lines: list[str] | None,
+) -> int:
+    """Write one report in ``args.format``: ``obj`` as JSON, ``header`` and
+    ``rows`` as CSV, or ``lines`` as the human-readable text."""
+    if args.format == "json":
+        payload = json.dumps(obj, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        payload = buf.getvalue()
+    else:
+        payload = "\n".join(lines) + "\n"
+    _emit(payload, args.out)
+    return EXIT_OK
 
 
 # --- parse ------------------------------------------------------------------
@@ -126,34 +145,24 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     text = _resolve_text(args)
     ordering = _resolve_ordering(args, text)
     parse = lex_parse(text, ordering)
-    if args.format == "json":
-        _emit(json.dumps(to_dict(parse), indent=2) + "\n", args.out)
-    elif args.format == "lexparse":
+    if args.format == "lexparse":
         _emit(to_lines(parse), args.out)
-    elif args.format == "csv":
-        rows = []
-        for idx, ((start, length), ph) in enumerate(zip(parse.spans(), parse.phrases), 1):
-            kind = "E" if ph.is_explicit else "C"
-            source = "" if ph.is_explicit else ph.source
-            rows.append([idx, start, length, kind, source])
-        _emit(_csv_text(["index", "start", "length", "kind", "source"], rows), args.out)
-    else:
-        _emit(_parse_table(parse, text, ordering), args.out)
-    return EXIT_OK
-
-
-def _parse_table(parse: LexParse, text: str, ordering: AlphabetOrdering) -> str:
-    lines = [f"lex-parse  n={parse.n}  ordering={ordering.spec}  v={parse.v}"]
-    lines.append(f"{'idx':>4} {'start':>8} {'len':>8} {'kind':>4} {'source':>8}  content")
+        return EXIT_OK
+    rows = []
+    lines = [
+        f"lex-parse  n={parse.n}  ordering={ordering.spec}  v={parse.v}",
+        f"{'idx':>4} {'start':>8} {'len':>8} {'kind':>4} {'source':>8}  content",
+    ]
     contents = phrase_strings(parse, text)
     for idx, ((start, length), ph, s) in enumerate(
         zip(parse.spans(), parse.phrases, contents), 1
     ):
-        kind = "E" if ph.is_explicit else "C"
-        source = "" if ph.is_explicit else str(ph.source)
+        kind, source = ("E", "") if ph.is_explicit else ("C", ph.source)
+        rows.append([idx, start, length, kind, source])
         preview = s if len(s) <= 24 else s[:21] + "..."
         lines.append(f"{idx:>4} {start:>8} {length:>8} {kind:>4} {source:>8}  {preview}")
-    return "\n".join(lines) + "\n"
+    header = ["index", "start", "length", "kind", "source"]
+    return _render(args, to_dict(parse), header, rows, lines)
 
 
 # --- scan -------------------------------------------------------------------
@@ -161,93 +170,73 @@ def _parse_table(parse: LexParse, text: str, ordering: AlphabetOrdering) -> str:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     text = _resolve_text(args)
-    if args.what == "edit":
-        if not args.kind:
-            raise CliError("scan edit requires --kind <sub|ins|del>")
-        ordering = _resolve_ordering(args, text)
-        try:
-            report = edit_sensitivity_scan(text, args.kind, ordering, keep_rows=args.rows)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        return _emit_edit_report(args, report)
-    try:
-        report = ao_sensitivity_scan(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    return _emit_ao_report(args, report)
+    if args.what == "ao":
+        return _render(args, *_ao_report(ao_sensitivity_scan(text)))
+    if not args.kind:
+        raise CliError("scan edit requires --kind <sub|ins|del>")
+    ordering = _resolve_ordering(args, text)
+    report = edit_sensitivity_scan(text, args.kind, ordering, keep_rows=args.rows)
+    return _render(args, *_edit_report(report))
 
 
-def _emit_edit_report(args: argparse.Namespace, report) -> int:
+def _edit_report(report) -> tuple[dict, list[str], list[list], list[str]]:
     w = report.witness
-    if args.format == "json":
-        obj = {
-            "kind": report.kind,
-            "ordering": report.ordering.spec,
-            "v_base": report.base_v,
-            "max_v": report.max_v,
-            "max_ratio": [report.max_ratio.numerator, report.max_ratio.denominator],
-            "candidates": report.candidates,
-            "witness": {"position": w.position, "old": w.old, "new": w.new},
-        }
-        if report.rows is not None:
-            obj["rows"] = [
-                {"position": r.position, "old": r.old, "new": r.new, "v": r.v}
-                for r in report.rows
-            ]
-        _emit(json.dumps(obj, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        header = ["kind", "position", "old", "new", "v_base", "v_edited", "ratio"]
-        # without --rows only the witness row is emitted
-        source_rows = report.rows if report.rows is not None else (
-            EditRow(report.kind, w.position, w.old, w.new, report.max_v),
+    obj = {
+        "kind": report.kind,
+        "ordering": report.ordering.spec,
+        "v_base": report.base_v,
+        "max_v": report.max_v,
+        "max_ratio": [report.max_ratio.numerator, report.max_ratio.denominator],
+        "candidates": report.candidates,
+        "witness": {"position": w.position, "old": w.old, "new": w.new},
+    }
+    lines = [
+        f"edit-sensitivity scan  kind={report.kind}  ordering={report.ordering.spec}",
+        f"candidates: {report.candidates}",
+        f"v(base) = {report.base_v}",
+        f"max v(edited) = {report.max_v}",
+        f"max ratio = {_ratio_str(report.max_ratio)}",
+        f"witness: position {w.position}, {w.old!r} -> {w.new!r}",
+    ]
+    if report.rows is not None:
+        obj["rows"] = [
+            {"position": r.position, "old": r.old, "new": r.new, "v": r.v}
+            for r in report.rows
+        ]
+        lines.append("rows:")
+        lines.extend(
+            f"  {r.position:>8} {str(r.old or '-'):>3} {str(r.new or '-'):>3} v={r.v}"
+            for r in report.rows
         )
-        rows = [
-            [report.kind, r.position, r.old or "", r.new or "", report.base_v, r.v,
-             f"{r.v}/{report.base_v}"]
-            for r in source_rows
-        ]
-        _emit(_csv_text(header, rows), args.out)
-    else:
-        lines = [
-            f"edit-sensitivity scan  kind={report.kind}  ordering={report.ordering.spec}",
-            f"candidates: {report.candidates}",
-            f"v(base) = {report.base_v}",
-            f"max v(edited) = {report.max_v}",
-            f"max ratio = {_ratio_str(report.max_ratio)}",
-            f"witness: position {w.position}, {w.old!r} -> {w.new!r}",
-        ]
-        if report.rows is not None:
-            lines.append("rows:")
-            lines.extend(
-                f"  {r.position:>8} {str(r.old or '-'):>3} {str(r.new or '-'):>3} v={r.v}"
-                for r in report.rows
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    header = ["kind", "position", "old", "new", "v_base", "v_edited", "ratio"]
+    # without --rows only the witness row is emitted
+    source_rows = report.rows if report.rows is not None else (
+        EditRow(report.kind, w.position, w.old, w.new, report.max_v),
+    )
+    rows = [
+        [report.kind, r.position, r.old or "", r.new or "", report.base_v, r.v,
+         f"{r.v}/{report.base_v}"]
+        for r in source_rows
+    ]
+    return obj, header, rows, lines
 
 
-def _emit_ao_report(args: argparse.Namespace, report) -> int:
-    if args.format == "json":
-        obj = {
-            "per_ordering": report.per_ordering,
-            "max_v": report.max_v,
-            "min_v": report.min_v,
-            "ratio": [report.ratio.numerator, report.ratio.denominator],
-            "argmax": report.argmax,
-            "argmin": report.argmin,
-        }
-        _emit(json.dumps(obj, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        rows = [[spec, v] for spec, v in report.per_ordering.items()]
-        _emit(_csv_text(["ordering", "v"], rows), args.out)
-    else:
-        lines = ["alphabet-ordering scan"]
-        lines.extend(f"  {spec}: v={v}" for spec, v in report.per_ordering.items())
-        lines.append(f"max v = {report.max_v} ({report.argmax})")
-        lines.append(f"min v = {report.min_v} ({report.argmin})")
-        lines.append(f"ratio = {_ratio_str(report.ratio)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+def _ao_report(report) -> tuple[dict, list[str], list[list], list[str]]:
+    obj = {
+        "per_ordering": report.per_ordering,
+        "max_v": report.max_v,
+        "min_v": report.min_v,
+        "ratio": [report.ratio.numerator, report.ratio.denominator],
+        "argmax": report.argmax,
+        "argmin": report.argmin,
+    }
+    rows = [[spec, v] for spec, v in report.per_ordering.items()]
+    lines = ["alphabet-ordering scan"]
+    lines.extend(f"  {spec}: v={v}" for spec, v in report.per_ordering.items())
+    lines.append(f"max v = {report.max_v} ({report.argmax})")
+    lines.append(f"min v = {report.min_v} ({report.argmin})")
+    lines.append(f"ratio = {_ratio_str(report.ratio)}")
+    return obj, ["ordering", "v"], rows, lines
 
 
 # --- growth -----------------------------------------------------------------
@@ -255,16 +244,11 @@ def _emit_ao_report(args: argparse.Namespace, report) -> int:
 
 def _cmd_growth(args: argparse.Namespace) -> int:
     k_min, k_max = _parse_range(args.k)
-    try:
-        rows = sensitivity_growth_table(k_min, k_max, max_n=_max_n())
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    csv_rows = [
+    rows = [
         [r.k, r.n, r.base_v, r.witness_v, f"{r.ratio.numerator}/{r.ratio.denominator}"]
-        for r in rows
+        for r in sensitivity_growth_table(k_min, k_max, max_n=_max_n())
     ]
-    _emit(_csv_text(["k", "n", "v_base", "witness_v", "ratio"], csv_rows), args.out)
-    return EXIT_OK
+    return _render(args, None, ["k", "n", "v_base", "witness_v", "ratio"], rows, None)
 
 
 # --- verify -----------------------------------------------------------------
@@ -272,10 +256,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     k_min, k_max = _parse_range(args.k)
-    try:
-        results = run_verification(range(k_min, k_max + 1), only=args.only)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    results = run_verification(range(k_min, k_max + 1), only=args.only)
     lines = [r.line() for r in results]
     passed = all_passed(results)
     asserted = [r for r in results if r.asserted]
@@ -311,21 +292,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    if args.file:
-        try:
-            payload = open(args.file, "rb").read().decode("latin-1")
-        except OSError as exc:
-            raise CliError(f"cannot read {args.file}: {exc}") from None
-    else:
-        payload = sys.stdin.read()
-    payload_stripped = payload.lstrip()
+    payload = _read(args.file)
     try:
-        if payload_stripped.startswith("{"):
+        if payload.lstrip().startswith("{"):
             parse = from_dict(json.loads(payload))
         else:
             parse = from_lines(payload)
         text = decode(parse)
-    except (MalformedParseError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"cannot decode parse: {exc}") from None
     _emit(text + ("\n" if args.out is None else ""), args.out)
     return EXIT_OK
@@ -361,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg = sub.add_parser("growth", help="witness-ratio growth table over the even family (CSV)")
     pg.add_argument("--k", required=True, help="index range, e.g. 6..12")
     pg.add_argument("--out", help="write output to this path instead of stdout")
-    pg.set_defaults(func=_cmd_growth)
+    pg.set_defaults(func=_cmd_growth, format="csv")
 
     pv = sub.add_parser("verify", help="run the structural verification suite")
     pv.add_argument("--k", required=True, help="index range, e.g. 6..12")
@@ -387,9 +361,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

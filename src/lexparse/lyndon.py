@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alphabet import AlphabetOrdering
-from .fibwords import fib_lyndon_factor  # noqa: F401  (re-exported: part of this module's API)
 
 
 def is_lyndon(w: str, ordering: AlphabetOrdering | None = None) -> bool:

@@ -18,7 +18,7 @@ from .suffixes import SuffixArray, build_suffix_array
 
 
 class MalformedParseError(ValueError):
-    """A structurally invalid phrase sequence (bad lengths, bad source, or a reference cycle)."""
+    """A malformed serialization or phrase sequence (see :func:`_validate`), or a reference cycle."""
 
 
 @dataclass(frozen=True)
@@ -161,18 +161,52 @@ def lex_parse_naive(text: str, ordering: AlphabetOrdering | None = None) -> LexP
     return LexParse(tuple(phrases), n, ordering)
 
 
+def _validate(parse: LexParse) -> None:
+    """Raise :class:`MalformedParseError` unless ``parse`` is a well-formed phrase sequence.
+
+    ``n`` is an exact ``int`` >= 1 (not a ``bool``, a ``float`` or a numeric
+    string); an explicit phrase holds one symbol of the ordering; a copy
+    phrase has an exact-``int`` length >= 1 and a source with
+    ``1 <= source <= n - length + 1``; the phrase lengths sum to ``n``.
+    Reference cycles are the one fault left to :func:`decode`.
+    """
+    n = parse.n
+    if type(n) is not int or n < 1:
+        raise MalformedParseError(f"text length {n!r} is not an integer >= 1")
+    symbols = set(parse.ordering.symbols)
+    pos = 1
+    for ph in parse.phrases:
+        if isinstance(ph, Explicit):
+            if not (isinstance(ph.symbol, str) and ph.symbol in symbols):
+                raise MalformedParseError(
+                    f"explicit phrase at {pos} holds {ph.symbol!r}, "
+                    f"not a symbol of the ordering {parse.ordering.spec!r}"
+                )
+            pos += 1
+            continue
+        length, source = ph.length, ph.source
+        if type(length) is not int or length < 1:
+            raise MalformedParseError(f"copy phrase at {pos} has length {length!r}")
+        if type(source) is not int or not 1 <= source <= n - length + 1:
+            raise MalformedParseError(
+                f"copy phrase at {pos} of length {length} has source {source!r} "
+                f"outside [1..{n - length + 1}]"
+            )
+        pos += length
+    if pos - 1 != n:
+        raise MalformedParseError(f"phrase lengths sum to {pos - 1}, expected {n}")
+
+
 def decode(parse: LexParse) -> str:
     """Reconstruct the unique text a lex-parse represents.
 
     Every copied position follows its source chain until it reaches an
     explicit symbol; chains are memoized.  Raises
-    :class:`MalformedParseError` on inconsistent lengths, out-of-range
-    sources, or reference cycles.
+    :class:`MalformedParseError` when ``parse`` breaks a rule of
+    :func:`_validate` or holds a reference cycle.
     """
+    _validate(parse)
     n = parse.n
-    total = sum(p.length for p in parse.phrases)
-    if total != n:
-        raise MalformedParseError(f"phrase lengths sum to {total}, expected {n}")
     out: list[str | None] = [None] * (n + 1)
     ref = [0] * (n + 1)
     pos = 1
@@ -180,17 +214,9 @@ def decode(parse: LexParse) -> str:
         if isinstance(ph, Explicit):
             out[pos] = ph.symbol
             pos += 1
-            continue
-        if ph.length < 1:
-            raise MalformedParseError(f"copy phrase at {pos} has length {ph.length}")
-        if not 1 <= ph.source <= n or ph.source + ph.length - 1 > n:
-            raise MalformedParseError(
-                f"copy phrase at {pos} references [{ph.source}..{ph.source + ph.length - 1}] "
-                f"outside [1..{n}]"
-            )
-        for t in range(ph.length):
-            ref[pos + t] = ph.source + t
-        pos += ph.length
+        else:
+            ref[pos : pos + ph.length] = range(ph.source, ph.source + ph.length)
+            pos += ph.length
     for p in range(1, n + 1):
         if out[p] is not None:
             continue
@@ -266,27 +292,24 @@ def from_lines(serialized: str) -> LexParse:
     head = lines[0].split()
     if len(head) != 3 or head[0] != _HEADER:
         raise MalformedParseError(f"bad header {lines[0]!r}")
+    ln = lines[0]
+    phrases: list[Phrase] = []
     try:
         n = int(head[1])
-    except ValueError:
-        raise MalformedParseError(f"bad length in header {lines[0]!r}") from None
-    ordering = AlphabetOrdering(tuple(_unescape_symbols(head[2])))
-    phrases: list[Phrase] = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "E" and len(parts) == 2:
-            syms = _unescape_symbols(parts[1])
-            if len(syms) != 1:
-                raise MalformedParseError(f"bad explicit record {ln!r}")
-            phrases.append(Explicit(syms[0]))
-        elif parts[0] == "C" and len(parts) == 3:
-            try:
-                phrases.append(Copy(int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise MalformedParseError(f"bad copy record {ln!r}") from None
-        else:
-            raise MalformedParseError(f"bad record {ln!r}")
-    return LexParse(tuple(phrases), n, ordering)
+        ordering = AlphabetOrdering(tuple(_unescape_symbols(head[2])))
+        for ln in lines[1:]:
+            match ln.split():
+                case ["E", symbol]:
+                    phrases.append(Explicit("".join(_unescape_symbols(symbol))))
+                case ["C", length, source]:
+                    phrases.append(Copy(int(length), int(source)))
+                case _:
+                    raise ValueError("not a phrase record")
+    except ValueError as exc:
+        raise MalformedParseError(f"bad line {ln!r}: {exc}") from None
+    parse = LexParse(tuple(phrases), n, ordering)
+    _validate(parse)
+    return parse
 
 
 def to_dict(parse: LexParse) -> dict:
@@ -308,21 +331,21 @@ def to_dict(parse: LexParse) -> dict:
 
 def from_dict(obj: dict) -> LexParse:
     """Inverse of :func:`to_dict`."""
+    phrases: list[Phrase] = []
     try:
-        n = int(obj["n"])
-        ordering = AlphabetOrdering.from_string(obj["ordering"])
-        records = obj["phrases"]
+        for rec in obj["phrases"]:
+            match rec:
+                case ["E", symbol]:
+                    phrases.append(Explicit(symbol))
+                case ["C", length, source]:
+                    phrases.append(Copy(length, source))
+                case _:
+                    raise ValueError(f"bad phrase record {rec!r}")
+        parse = LexParse(tuple(phrases), obj["n"], AlphabetOrdering.from_string(obj["ordering"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedParseError(f"bad parse object: {exc}") from None
-    phrases: list[Phrase] = []
-    for rec in records:
-        if rec[0] == "E" and len(rec) == 2:
-            phrases.append(Explicit(rec[1]))
-        elif rec[0] == "C" and len(rec) == 3:
-            phrases.append(Copy(int(rec[1]), int(rec[2])))
-        else:
-            raise MalformedParseError(f"bad phrase record {rec!r}")
-    return LexParse(tuple(phrases), n, ordering)
+    _validate(parse)
+    return parse
 
 
 def lz77_count(text: str) -> int:

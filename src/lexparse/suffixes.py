@@ -81,7 +81,7 @@ def build_suffix_array(text: str, ordering: AlphabetOrdering | None = None) -> S
     """Suffix array of ``text`` under ``ordering`` (default: code-point order)."""
     ranks, ordering = _symbol_ranks(text, ordering)
     sa0 = _doubling_sort(ranks)
-    return _finish(text, ordering, sa0)
+    return _finish(text, ordering, sa0, _kasai_lcp(ranks, sa0))
 
 
 def build_suffix_array_naive(text: str, ordering: AlphabetOrdering | None = None) -> SuffixArray:
@@ -90,9 +90,8 @@ def build_suffix_array_naive(text: str, ordering: AlphabetOrdering | None = None
     Quadratic; kept as the permanent oracle for the doubling construction.
     """
     ranks, ordering = _symbol_ranks(text, ordering)
-    n = len(ranks)
-    sa0 = sorted(range(n), key=lambda i: ranks[i:])
-    return _finish(text, ordering, sa0, kasai=False)
+    sa0 = sorted(range(len(ranks)), key=lambda i: ranks[i:])
+    return _finish(text, ordering, sa0, _pairwise_lcp(ranks, sa0))
 
 
 def _symbol_ranks(
@@ -175,17 +174,10 @@ def _pairwise_lcp(ranks: list[int], sa0: list[int]) -> list[int]:
 
 
 def _finish(
-    text: str,
-    ordering: AlphabetOrdering,
-    sa0: list[int],
-    *,
-    kasai: bool = True,
+    text: str, ordering: AlphabetOrdering, sa0: list[int], lcp: list[int]
 ) -> SuffixArray:
-    rank_map = {c: ordering.rank(c) for c in set(text)}
-    ranks = [rank_map[c] for c in text]
-    lcp = _kasai_lcp(ranks, sa0) if kasai else _pairwise_lcp(ranks, sa0)
-    n = len(text)
-    inv = [0] * n
+    """Package a 0-based suffix array and its adjacent-rank LCP list as 1-based arrays."""
+    inv = [0] * len(sa0)
     for r, p in enumerate(sa0):
         inv[p] = r + 1
     return SuffixArray(

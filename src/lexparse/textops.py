@@ -85,19 +85,6 @@ class EditCandidate:
     text: str
 
 
-def _alphabet_symbols(alphabet: str | Sequence[str] | AlphabetOrdering) -> tuple[str, ...]:
-    if isinstance(alphabet, AlphabetOrdering):
-        return alphabet.symbols
-    symbols = tuple(alphabet)
-    if not symbols:
-        raise ValueError("alphabet must be non-empty")
-    if any(len(s) != 1 for s in symbols):
-        raise ValueError("alphabet entries must be single characters")
-    if len(set(symbols)) != len(symbols):
-        raise ValueError("alphabet contains duplicate symbols")
-    return symbols
-
-
 def edit_candidates(
     w: str,
     kind: str,
@@ -110,7 +97,9 @@ def edit_candidates(
     equal strings; deduplication is the caller's concern.
     """
     kind = normalize_kind(kind)
-    symbols = _alphabet_symbols(alphabet)
+    if not isinstance(alphabet, AlphabetOrdering):
+        alphabet = AlphabetOrdering(tuple(alphabet))  # validates the symbols
+    symbols = alphabet.symbols
     n = len(w)
     if kind in ("sub", "del") and n < 1:
         raise ValueError(f"{kind} requires a non-empty text")

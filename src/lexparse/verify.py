@@ -201,7 +201,8 @@ def verify_edited_word(k: int) -> list[CheckResult]:
     c = _Checker("edited", k)
     T = edited_fib(2 * k)
     n = len(T)
-    parse = lex_parse(T, ORD_AB)
+    sa = build_suffix_array(T, ORD_AB)
+    parse = lex_parse(T, sa=sa)
     c.eq("sub_phrase_count", parse.v, 2 * k - 2)
     lengths = edited_parse_lengths(k)
     c.eq("sub_phrase_lengths", parse.lengths(), lengths)
@@ -211,7 +212,6 @@ def verify_edited_word(k: int) -> list[CheckResult]:
     c.ok("ends_baaa", T.endswith("baaa"), "edited word does not end with baaa")
 
     dec = EditedFibDecomposition(k)
-    sa = build_suffix_array(T, ORD_AB)
     obs_ok, obs_detail = True, ""
     for i in range(1, k - 2):
         x = T[dec.x_start(i) - 1 :]
@@ -267,12 +267,12 @@ def verify_fib_orderings(k: int) -> list[CheckResult]:
     """Four-case phrase counts and displayed parses of the k-th word under both orders."""
     c = _Checker("orderings", k)
     F = fibonacci(k)
-    for spec, ordering in (("ab", ORD_AB), ("ba", ORD_BA)):
-        parse = lex_parse(F, ordering)
+    sa_ab = build_suffix_array(F, ORD_AB)
+    for spec, sa in (("ab", sa_ab), ("ba", build_suffix_array(F, ORD_BA))):
+        parse = lex_parse(F, sa=sa)
         c.eq(f"count_{spec}", parse.v, fib_parse_count(k, spec))
         c.eq(f"phrases_{spec}", phrase_strings(parse, F), fib_parse_phrases(k, spec))
     if k % 2 == 1 and k >= 7:
-        sa = build_suffix_array(F, ORD_AB)
         pair_ok, pair_detail = True, ""
         for i in range(4, k - 2, 2):
             short_suffix = fib_suffix(k, i)
@@ -283,7 +283,7 @@ def verify_fib_orderings(k: int) -> list[CheckResult]:
                 F.endswith(long_suffix)
                 and long_suffix.startswith(short_suffix)
                 and long_suffix == short_suffix + gib(i)
-                and sa.previous_suffix(ps) == ss
+                and sa_ab.previous_suffix(ps) == ss
             ):
                 pair_ok, pair_detail = False, f"suffix pair broken at i={i}"
                 break

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -13,6 +15,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def set_stdin(monkeypatch, data: bytes) -> None:
+    """Feed ``data`` to stdin as a UTF-8 terminal would."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
 
 
 def test_parse_worked_example(capsys):
@@ -208,6 +215,43 @@ def test_decode_rejects_junk(capsys, tmp_path):
     assert code == 2
 
 
+MALFORMED_PAYLOADS = [
+    b'{"n":1,"ordering":"ab","phrases":[["E","ab"]]}',
+    b'{"n":2,"ordering":"ab","phrases":[["E","z"],["E","a"]]}',
+    b'{"n":1,"ordering":"ab","phrases":[["E",1]]}',
+    b'{"n":2,"ordering":"ab","phrases":[5,6]}',
+    b'{"n":1,"ordering":"a","phrases":[[]]}',
+    b'{"n":3,"ordering":"ab","phrases":[["E","a"],["C",1.9,1],["E","b"]]}',
+    b'{"n":true,"ordering":"a","phrases":[["E","a"]]}',
+    b'{"n":Infinity,"ordering":"a","phrases":[["E","a"]]}',
+    b'{"n":' + b"[" * 100_000,  # nested deeper than the JSON decoder's recursion limit
+    b"LEXPARSE 0 ab\n",
+    b"LEXPARSE 1 ab\nE \\x6\\\n",
+    b"LEXPARSE 2 aa\nE a\nE a\n",
+    b"LEXPARSE 1 ab\nE ab\n",
+]
+
+
+def test_decode_rejects_malformed_parses(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "payload"
+    for payload in MALFORMED_PAYLOADS:
+        path.write_bytes(payload)
+        set_stdin(monkeypatch, payload)
+        for argv in (["decode", "--file", str(path)], ["decode"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), (argv, payload[:60])
+            assert err.startswith("error: cannot decode parse:") and err.count("\n") == 1, err
+
+
+def test_decode_reads_stdin_as_bytes(capsys, monkeypatch, tmp_path):
+    payload = b"LEXPARSE 2 \xe9a\nE \xe9\nE a\n"
+    path = tmp_path / "payload"
+    path.write_bytes(payload)
+    assert run_cli(capsys, "decode", "--file", str(path)) == (0, "\xe9a\n", "")
+    set_stdin(monkeypatch, payload)
+    assert run_cli(capsys, "decode") == (0, "\xe9a\n", "")
+
+
 def test_out_writes_file(capsys, tmp_path):
     path = tmp_path / "word.txt"
     code, _, _ = run_cli(capsys, "gen", "--gen", "fib:7", "--out", str(path))
@@ -230,3 +274,220 @@ def test_mutually_exclusive_inputs(capsys):
         main(["parse", "--text", "ab", "--gen", "fib:5"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# --- golden invocations ------------------------------------------------------
+#
+# Exit code, stdout (as a SHA-256 of its UTF-8 encoding) and stderr of each
+# invocation, recorded before the report renderer and the error path were
+# consolidated; any change to the CLI's observable output fails here.  Files
+# are written to a scratch working directory so paths in messages are fixed.
+
+LEX9 = b"LEXPARSE 9 ab\nC 3 7\nC 1 2\nC 2 8\nC 1 6\nE b\nE a\n"
+JSON9 = (b'{"format":"lexparse","n":9,"ordering":"ab","v":6,"phrases":'
+         b'[["C",3,7],["C",1,2],["C",2,8],["C",1,6],["E","b"],["E","a"]]}')
+GOLDEN_FILES = {
+    "blob.bin": b"\x00\x01\x00\x01\x01\x00 a\\b\xe9\xe9a",
+    "empty.bin": b"",
+    "ab9.lexparse": LEX9,
+    "ab9.json": JSON9,
+    "blob.lexparse": (b"LEXPARSE 13 \\x00\\x01\\x20\\\\ab\\xe9\nE \\x00\nE \\x01\n"
+                      b"C 2 1\nC 2 2\nE \\x20\nC 1 13\nE \\\\\nE b\nC 1 12\nE \\xe9\nE a\n"),
+    "junk.txt": b"not a parse\n",
+}
+
+GOLDEN = [
+    ("parse-text-human", "parse --text ababbaaba --order ab", None, 0,
+     "99d9b0d513dfad9871e24e42b2db349772d8aba705f2d28961fb7c03a818c375",
+     ""),
+    ("parse-text-csv", "parse --text ababbaaba --order ab --format csv", None, 0,
+     "9d01cd4c38bdb832f05af7067154c89afe4d10aa09015bb4bdfda95a4c4d7695",
+     ""),
+    ("parse-text-json", "parse --text ababbaaba --format json", None, 0,
+     "3794356ffdf04612d9d9a7e5514ba5f7c57cb9f3b0a5e23004712313dd8114a8",
+     ""),
+    ("parse-text-lexparse", "parse --text ababbaaba --format lexparse", None, 0,
+     "bb5ec381fd0dff80b566741378269a6062647be5a6ef071ed83bf7781a953000",
+     ""),
+    ("parse-gen-human", "parse --gen fib:12", None, 0,
+     "efc2680b276d64ddd046dbecc46b43c6e98ee1d84e38c920b96140bbe9eed2e7",
+     ""),
+    ("parse-gen-csv", "parse --gen fib:9 --order ba --format csv", None, 0,
+     "5abbab1903bfecc6ddcc4f1a88090dfad0b9aac62ae9aee1c35cc5bc4f3626f2",
+     ""),
+    ("parse-gen-json", "parse --gen T:10 --format json", None, 0,
+     "640c4261788287ba6391904846cb0dc99eb6cc9dada4dc532c54ccb38302b0ae",
+     ""),
+    ("parse-gen-lexparse", "parse --gen gib:9 --format lexparse", None, 0,
+     "756004bcd8ba6eb068c3d6f1c9b5a4c05c30e375c199066838eac73eca17e8c2",
+     ""),
+    ("parse-file-human", "parse --file blob.bin", None, 0,
+     "ded4342c848081f41ca1cb53497bbcd1ad47f17f140a824f4dfa05d2f328598c",
+     ""),
+    ("parse-file-csv", "parse --file blob.bin --format csv", None, 0,
+     "ff3be6c5abcf73643744b436ca8550b5bdb9ebf2bb1801f771addd012b8180d5",
+     ""),
+    ("parse-file-json", "parse --file blob.bin --format json", None, 0,
+     "5ba2f029a4f4f38ed311c03fe9d34ae1b064e46d2f0abe450c4bdbad1a3d5525",
+     ""),
+    ("parse-file-lexparse", "parse --file blob.bin --format lexparse", None, 0,
+     "7605ad8d4b9d2ec25abfa09c6371ec9f30339f0b8fcbf729f03ea73e651a2e3d",
+     ""),
+    ("scan-sub-human", "scan edit --gen fib:8 --kind sub", None, 0,
+     "c254dfce3bef7155dd78d976b94f9af1386ff8f9ad582c6429e55c2d05815f57",
+     ""),
+    ("scan-sub-rows-human", "scan edit --gen fib:7 --kind sub --rows", None, 0,
+     "f829a3fb22efbfacbd1657116d3b1d1cd9cba9fe753ec5548d0c464da2694866",
+     ""),
+    ("scan-sub-csv", "scan edit --gen fib:8 --kind sub --format csv", None, 0,
+     "585b6f3abc981c583c2121c6bd23a87afe9a4672acfa8daba5ad1df963361b3b",
+     ""),
+    ("scan-sub-rows-csv", "scan edit --gen fib:7 --kind sub --rows --format csv", None, 0,
+     "e1ab27339ae384d7ae3abeb291c52fef22a684744b847e25159f80271be23a3a",
+     ""),
+    ("scan-sub-json", "scan edit --gen fib:8 --kind sub --format json", None, 0,
+     "c088a76d7651590b3087adc9a40c13a2b1b324d03085e31dff7989724d261188",
+     ""),
+    ("scan-sub-rows-json", "scan edit --gen fib:7 --kind sub --rows --format json", None, 0,
+     "7a5f9babce423ca6a1ac755e4f7902e2def7530d720e99ca0b9b7e8d92f56bd3",
+     ""),
+    ("scan-ins-human", "scan edit --gen fib:8 --kind ins --order $ab", None, 0,
+     "4443b3b4ecdc274993facd3ad66a250f6aa0ce58e0caec786f773f36e46158bd",
+     ""),
+    ("scan-ins-rows-human", "scan edit --gen fib:6 --kind ins --order $ab --rows", None, 0,
+     "d5a2945b384f02f1d75f9f3da5992d0a0015d889176adf60a013a354432c9a98",
+     ""),
+    ("scan-ins-csv", "scan edit --gen fib:8 --kind ins --order $ab --format csv", None, 0,
+     "709cd1bc177cd51b3506aeb69511d08e2d55a6229d13eb1154b8043a28f8084b",
+     ""),
+    ("scan-ins-rows-csv", "scan edit --gen fib:6 --kind ins --order $ab --rows --format csv", None, 0,
+     "0165257c6e44e916271e5d8f6bace2cc0a4285faad817836bfc20db6af999453",
+     ""),
+    ("scan-ins-json", "scan edit --gen fib:8 --kind ins --order $ab --format json", None, 0,
+     "0d15fc6c05238ed47939b9dd5ff4ceefb068e0c88c104e665656c7b0a655d776",
+     ""),
+    ("scan-ins-rows-json", "scan edit --gen fib:6 --kind ins --order $ab --rows --format json", None, 0,
+     "d0423e2ffe2927c52a1e22b7fe116b1c0e6617951fa8b440d585af74cfdc087d",
+     ""),
+    ("scan-del-human", "scan edit --gen T:8 --kind del", None, 0,
+     "b493567d86bdd3ccf71b062982eacee3319d4dd720b98fdabff0221038d98621",
+     ""),
+    ("scan-del-rows-human", "scan edit --gen fib:7 --kind del --rows", None, 0,
+     "8f923305e9dcd0bed392455ef5e8ac2d6ddecee68f96fde9b28610b1731ba781",
+     ""),
+    ("scan-del-csv", "scan edit --gen T:8 --kind del --format csv", None, 0,
+     "96127cb55a7579d941e5f8dd36f996df47a9d1dd0f42eb5c978af5ddc5cf03c4",
+     ""),
+    ("scan-del-rows-csv", "scan edit --gen fib:7 --kind del --rows --format csv", None, 0,
+     "923f76636c156db6e7aba3744b66397ca75097482d5c72bee49240ed9fad2c5a",
+     ""),
+    ("scan-del-json", "scan edit --gen T:8 --kind del --format json", None, 0,
+     "513365082072a39573c30a6124bafc42f52d39034add0d6852781e29c325c13a",
+     ""),
+    ("scan-del-rows-json", "scan edit --gen fib:7 --kind del --rows --format json", None, 0,
+     "66f96ec65bb6c1d4a9e85172ea1609db94830b772dd4019153bac5e48ae25522",
+     ""),
+    ("scan-ao-human", "scan ao --text abcabcacbab", None, 0,
+     "553ccd06d844f5b9283f2ea3525b5290a7ae81b9b7911127d746fcd53d12314c",
+     ""),
+    ("scan-ao-csv", "scan ao --gen fib:13 --format csv", None, 0,
+     "2e71a2ad32da05593e4e8382d3d52759279b367428981d334275159eedd024df",
+     ""),
+    ("scan-ao-json", "scan ao --text abcabcacbab --format json", None, 0,
+     "a1f8fb22cf0be0ebb21cc09fbc07811bbff8f8e639b52fbdc64492abf0c39722",
+     ""),
+    ("growth-range", "growth --k 6..7", None, 0,
+     "99b8f297b0bb1a6527d64837b37db2dd8d31f0d3e46f5b6d689a60678196ca06",
+     ""),
+    ("growth-single", "growth --k 8", None, 0,
+     "38f1c064d7e964fe6a803abed0bfe82bce9aa5b8403f8962fd1a15c3014d888d",
+     ""),
+    ("verify-5-7", "verify --k 5..7", None, 0,
+     "3c2c228b29e0fb83c2dd8f695330c56f9e1a084b6c3a054dbc9f3cf96a898e9e",
+     ""),
+    ("verify-only-lyndon", "verify --k 6..6 --only lyndon", None, 0,
+     "99174c20a28caef792ffc7b4b98eea124f81795bcd29a89696466fbdc75d6852",
+     ""),
+    ("gen-fib", "gen --gen fib:5", None, 0,
+     "b82f13b5872f473dd9a415cd7bbb0f8b7aa582c7bfdea9c50dda08c94b31fcf4",
+     ""),
+    ("gen-phi", "gen --gen phi:2", None, 0,
+     "8cd267137b397990ae45def98b867f0aab5691a7cbdf2e0854c6569dd476fea9",
+     ""),
+    ("gen-file", "gen --file blob.bin", None, 0,
+     "b2e48ddfb8f3e28fa18d3f4fcb8ca634648fe9bd9a8495764153e25c3351a3db",
+     ""),
+    ("decode-file-lines", "decode --file ab9.lexparse", None, 0,
+     "f54658a3f639a7de39cc346671f870bdb50c49df6c7392e5b630499c6b36e404",
+     ""),
+    ("decode-file-json", "decode --file ab9.json", None, 0,
+     "f54658a3f639a7de39cc346671f870bdb50c49df6c7392e5b630499c6b36e404",
+     ""),
+    ("decode-file-escapes", "decode --file blob.lexparse", None, 0,
+     "b2e48ddfb8f3e28fa18d3f4fcb8ca634648fe9bd9a8495764153e25c3351a3db",
+     ""),
+    ("decode-stdin-lines", "decode", LEX9, 0,
+     "f54658a3f639a7de39cc346671f870bdb50c49df6c7392e5b630499c6b36e404",
+     ""),
+    ("decode-stdin-json", "decode", JSON9, 0,
+     "f54658a3f639a7de39cc346671f870bdb50c49df6c7392e5b630499c6b36e404",
+     ""),
+    ("err-missing-file", "parse --file missing.bin", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: cannot read missing.bin: [Errno 2] No such file or directory: 'missing.bin'\n"),
+    ("err-empty-file", "parse --file empty.bin", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: empty.bin is empty\n"),
+    ("err-uncovered-ordering", "parse --text abc --order ab", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: text contains symbols ['c'] outside the ordering 'ab'\n"),
+    ("err-duplicate-ordering", "parse --text ab --order aab", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: duplicate symbol in ordering 'aab'\n"),
+    ("err-empty-text", "parse --text=", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: --text must be non-empty\n"),
+    ("err-bad-gen-spec", "parse --gen fob:5", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: bad generator spec 'fob:5'; expected <fib|gib|T|phi>:<k>\n"),
+    ("err-bad-gen-index", "gen --gen T:7", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: index must be even, got 7\n"),
+    ("err-reversed-range", "growth --k 8..6", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: empty range '8..6'\n"),
+    ("err-bad-range", "verify --k x..7", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: bad range 'x..7'; expected <a..b> or <k>\n"),
+    ("err-kind-swap", "scan edit --gen fib:8 --kind swap", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: unknown edit kind 'swap'; expected one of ('sub', 'ins', 'del')\n"),
+    ("err-kind-missing", "scan edit --gen fib:8", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: scan edit requires --kind <sub|ins|del>\n"),
+    ("err-del-one-symbol", "scan edit --text a --kind del", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: deletion scan needs a text of length >= 2\n"),
+    ("err-ao-sigma9", "scan ao --text abcdefghi", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: text has 9 distinct symbols; exhaustive ordering enumeration is limited to 8 (9! orderings would be infeasible). Reduce the alphabet or scan chosen orderings individually.\n"),
+    ("err-decode-junk", "decode --file junk.txt", None, 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: cannot decode parse: bad header 'not a parse'\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, stdin, code, out_sha256, err", [case[1:] for case in GOLDEN],
+    ids=[case[0] for case in GOLDEN],
+)
+def test_golden_cli(capsys, monkeypatch, tmp_path, command, stdin, code, out_sha256, err):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LEXPARSE_MAX_N", raising=False)
+    for name, data in GOLDEN_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    if stdin is not None:
+        set_stdin(monkeypatch, stdin)
+    got_code, out, got_err = run_cli(capsys, *command.split())
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == out_sha256, out

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -183,7 +184,15 @@ def test_line_serialization_escapes():
 
 
 def test_line_serialization_rejects_junk():
-    for junk in ("", "NOPE 3 ab\nE a", "LEXPARSE x ab\nE a", "LEXPARSE 2 ab\nQ 1 2"):
+    for junk in (
+        "", "NOPE 3 ab\nE a", "LEXPARSE x ab\nE a", "LEXPARSE 2 ab\nQ 1 2",
+        "LEXPARSE 1 ab\nE ab",  # two symbols in one explicit phrase
+        "LEXPARSE 2 ab\nE z\nE a",  # symbol outside the ordering
+        "LEXPARSE 1 ab\nE 1",
+        "LEXPARSE 0 ab",
+        "LEXPARSE 1 ab\nE \\x6\\",  # bad escape
+        "LEXPARSE 2 aa\nE a\nE a",  # duplicate symbol in the header ordering
+    ):
         with pytest.raises(MalformedParseError):
             from_lines(junk)
 
@@ -201,10 +210,21 @@ def test_dict_serialization_round_trip():
 
 
 def test_dict_serialization_rejects_junk():
-    with pytest.raises(MalformedParseError):
-        from_dict({"n": 1})
-    with pytest.raises(MalformedParseError):
-        from_dict({"n": 1, "ordering": "a", "phrases": [["X", 1]]})
+    for junk in (
+        {"n": 1},
+        {"n": 1, "ordering": "a", "phrases": [["X", 1]]},
+        {"n": 1, "ordering": "ab", "phrases": [["E", "ab"]]},
+        {"n": 2, "ordering": "ab", "phrases": [["E", "z"], ["E", "a"]]},
+        {"n": 1, "ordering": "ab", "phrases": [["E", 1]]},
+        {"n": 2, "ordering": "ab", "phrases": [5, 6]},
+        {"n": 1, "ordering": "a", "phrases": [[]]},
+        {"n": 3, "ordering": "ab", "phrases": [["E", "a"], ["C", 1.9, 1], ["E", "b"]]},
+        {"n": True, "ordering": "a", "phrases": [["E", "a"]]},
+        {"n": "1", "ordering": "a", "phrases": [["E", "a"]]},
+        json.loads('{"n": Infinity, "ordering": "a", "phrases": [["E", "a"]]}'),
+    ):
+        with pytest.raises(MalformedParseError):
+            from_dict(junk)
 
 
 def naive_lz77_count(w):
