@@ -68,13 +68,6 @@ class AlphabetOrdering:
         except KeyError as exc:
             raise ValueError(f"symbol {exc.args[0]!r} not in ordering {self.spec!r}") from None
 
-    def less(self, x: str, y: str) -> bool:
-        """Strict lexicographic comparison of two strings under this ordering."""
-        return self.key(x) < self.key(y)
-
-    def covers(self, text: str) -> bool:
-        return set(text) <= set(self.symbols)
-
     def require_covers(self, text: str) -> None:
         extra = sorted(set(text) - set(self.symbols))
         if extra:

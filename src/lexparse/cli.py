@@ -292,12 +292,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    cap = _max_n()
     payload = _read(args.file)
     try:
         if payload.lstrip().startswith("{"):
             parse = from_dict(json.loads(payload))
         else:
             parse = from_lines(payload)
+        if parse.n > cap:
+            raise ValueError(
+                f"it declares {parse.n} symbols, above the cap {cap} "
+                "(raise LEXPARSE_MAX_N to allow it)"
+            )
         text = decode(parse)
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"cannot decode parse: {exc}") from None

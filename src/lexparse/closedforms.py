@@ -103,9 +103,6 @@ class EditedFibDecomposition:
     def n(self) -> int:
         return fib_length(2 * self.k)
 
-    def text(self) -> str:
-        return edited_fib(2 * self.k)
-
     def x_start(self, i: int) -> int:
         self._check(i, 1, self.k - 3)
         return self.n - fib_length(2 * i + 4)

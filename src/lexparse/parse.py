@@ -10,6 +10,7 @@ because every hop moves to a lexicographically smaller suffix.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -97,7 +98,9 @@ def lex_parse(
 
     The text is parsed as given, with no end marker appended.
     A prebuilt suffix array for the same text/ordering may be passed to avoid
-    rebuilding it.
+    rebuilding it.  Each phrase is measured by a direct scan against its
+    start's predecessor suffix; phrase lengths sum to n, so the walk costs
+    O(n + v) and never needs the suffix array's LCP array.
     """
     if sa is None:
         sa = build_suffix_array(text, ordering)
@@ -107,13 +110,13 @@ def lex_parse(
     phrases: list[Phrase] = []
     i = 1
     while i <= n:
-        r = sa.rank_of(i)
-        l = sa.lcp_at_rank(r)
+        j = sa.previous_suffix(i)
+        l = 0 if j is None else sa.lcp_between(i, j)
         if l == 0:
             phrases.append(Explicit(text[i - 1]))
             i += 1
         else:
-            phrases.append(Copy(l, sa.suffix_start(r - 1)))
+            phrases.append(Copy(l, j))
             i += l
     return LexParse(tuple(phrases), n, sa.ordering)
 
@@ -261,8 +264,8 @@ def _unescape_symbols(s: str) -> list[str]:
             if s[i : i + 2] == "\\\\":
                 out.append("\\")
                 i += 2
-            elif s[i + 1 : i + 2] == "x" and len(s) >= i + 4:
-                out.append(chr(int(s[i + 2 : i + 4], 16)))
+            elif s[i + 1 : i + 2] == "x" and re.fullmatch("[0-9a-fA-F]{2}", h := s[i + 2 : i + 4]):
+                out.append(chr(int(h, 16)))
                 i += 4
             else:
                 raise MalformedParseError(f"bad escape in {s!r}")
@@ -270,6 +273,13 @@ def _unescape_symbols(s: str) -> list[str]:
             out.append(s[i])
             i += 1
     return out
+
+
+def _decimal(s: str) -> int:
+    """A number as :func:`to_lines` writes it: plain ASCII digits, no sign or ``_``."""
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"{s!r} is not a plain decimal number")
+    return int(s)
 
 
 def to_lines(parse: LexParse) -> str:
@@ -295,14 +305,14 @@ def from_lines(serialized: str) -> LexParse:
     ln = lines[0]
     phrases: list[Phrase] = []
     try:
-        n = int(head[1])
+        n = _decimal(head[1])
         ordering = AlphabetOrdering(tuple(_unescape_symbols(head[2])))
         for ln in lines[1:]:
             match ln.split():
                 case ["E", symbol]:
                     phrases.append(Explicit("".join(_unescape_symbols(symbol))))
                 case ["C", length, source]:
-                    phrases.append(Copy(int(length), int(source)))
+                    phrases.append(Copy(_decimal(length), _decimal(source)))
                 case _:
                     raise ValueError("not a phrase record")
     except ValueError as exc:

@@ -3,36 +3,59 @@
 The ordering is absorbed by renaming symbols to their ranks before
 construction, so one code path serves every ordering.  Construction is
 prefix doubling (O(n log n) sorts over integer keys); a naive full sort is
-kept permanently as the test oracle.  All positions and ranks in the public
-contract are 1-based.
+kept permanently as the test oracle.  The adjacent-rank LCP array is not
+part of construction: it is computed (Kasai) on first use of
+``SuffixArray.lcp``, and the lex-parse never reads it.  All positions and
+ranks in the public contract are 1-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .alphabet import AlphabetOrdering
 
 
 @dataclass(frozen=True)
 class SuffixArray:
-    """Sorted-suffix permutation of a text plus inverse and LCP arrays.
+    """Sorted-suffix permutation of a text plus its inverse, with a lazy LCP array.
 
     ``sa[r-1]`` is the 1-based start of the r-th smallest suffix,
     ``rank[i-1]`` the 1-based rank of the suffix starting at position i, and
     ``lcp[r-1]`` the longest-common-prefix length between the suffixes of
-    rank r-1 and r (``lcp[0]`` is 0).
+    rank r-1 and r (``lcp[0]`` is 0).  ``lcp`` is computed on first use and
+    then kept; :func:`lexparse.parse.lex_parse` does not read it.
     """
 
     text: str
     ordering: AlphabetOrdering
     sa: tuple[int, ...]
     rank: tuple[int, ...]
-    lcp: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return len(self.text)
+
+    @cached_property
+    def lcp(self) -> tuple[int, ...]:
+        """Adjacent-rank LCP array by Kasai's algorithm, in O(n) symbol comparisons."""
+        t, sa, rank = self.text, self.sa, self.rank
+        n = len(t)
+        lcp = [0] * n
+        h = 0
+        for i in range(n):
+            r = rank[i] - 1
+            if r == 0:
+                h = 0
+                continue
+            j = sa[r - 1] - 1
+            while i + h < n and j + h < n and t[i + h] == t[j + h]:
+                h += 1
+            lcp[r] = h
+            if h:
+                h -= 1
+        return tuple(lcp)
 
     def suffix_start(self, r: int) -> int:
         """Start position of the suffix of rank r."""
@@ -81,7 +104,7 @@ def build_suffix_array(text: str, ordering: AlphabetOrdering | None = None) -> S
     """Suffix array of ``text`` under ``ordering`` (default: code-point order)."""
     ranks, ordering = _symbol_ranks(text, ordering)
     sa0 = _doubling_sort(ranks)
-    return _finish(text, ordering, sa0, _kasai_lcp(ranks, sa0))
+    return _finish(text, ordering, sa0)
 
 
 def build_suffix_array_naive(text: str, ordering: AlphabetOrdering | None = None) -> SuffixArray:
@@ -91,7 +114,7 @@ def build_suffix_array_naive(text: str, ordering: AlphabetOrdering | None = None
     """
     ranks, ordering = _symbol_ranks(text, ordering)
     sa0 = sorted(range(len(ranks)), key=lambda i: ranks[i:])
-    return _finish(text, ordering, sa0, _pairwise_lcp(ranks, sa0))
+    return _finish(text, ordering, sa0)
 
 
 def _symbol_ranks(
@@ -138,45 +161,8 @@ def _doubling_sort(ranks: list[int]) -> list[int]:
     return sa
 
 
-def _kasai_lcp(ranks: list[int], sa0: list[int]) -> list[int]:
-    """Adjacent-rank LCP array (Kasai), 0-based ranks; lcp[0] = 0."""
-    n = len(ranks)
-    inv = [0] * n
-    for r, p in enumerate(sa0):
-        inv[p] = r
-    lcp = [0] * n
-    h = 0
-    for i in range(n):
-        r = inv[i]
-        if r == 0:
-            h = 0
-            continue
-        j = sa0[r - 1]
-        while i + h < n and j + h < n and ranks[i + h] == ranks[j + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return lcp
-
-
-def _pairwise_lcp(ranks: list[int], sa0: list[int]) -> list[int]:
-    """Adjacent-rank LCP by direct character scans (used with the naive oracle)."""
-    n = len(ranks)
-    lcp = [0] * n
-    for r in range(1, n):
-        a, b = sa0[r - 1], sa0[r]
-        l = 0
-        while a + l < n and b + l < n and ranks[a + l] == ranks[b + l]:
-            l += 1
-        lcp[r] = l
-    return lcp
-
-
-def _finish(
-    text: str, ordering: AlphabetOrdering, sa0: list[int], lcp: list[int]
-) -> SuffixArray:
-    """Package a 0-based suffix array and its adjacent-rank LCP list as 1-based arrays."""
+def _finish(text: str, ordering: AlphabetOrdering, sa0: list[int]) -> SuffixArray:
+    """Package a 0-based suffix array and its inverse as 1-based arrays."""
     inv = [0] * len(sa0)
     for r, p in enumerate(sa0):
         inv[p] = r + 1
@@ -185,5 +171,4 @@ def _finish(
         ordering=ordering,
         sa=tuple(p + 1 for p in sa0),
         rank=tuple(inv),
-        lcp=tuple(lcp),
     )

@@ -13,3 +13,10 @@ def all_binary_strings(min_len, max_len):
 def random_text(rng, alphabet, max_len, min_len=1):
     n = rng.randint(min_len, max_len)
     return "".join(rng.choice(alphabet) for _ in range(n))
+
+
+def assert_lcp_matches_direct_scans(sa):
+    """The lazy Kasai LCP array against direct scans of adjacent-rank suffixes."""
+    assert sa.lcp[0] == 0
+    for r in range(2, sa.n + 1):
+        assert sa.lcp[r - 1] == sa.lcp_between(sa.sa[r - 2], sa.sa[r - 1]), r

@@ -252,6 +252,22 @@ def test_decode_reads_stdin_as_bytes(capsys, monkeypatch, tmp_path):
     assert run_cli(capsys, "decode") == (0, "\xe9a\n", "")
 
 
+def test_decode_honours_max_n(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("LEXPARSE_MAX_N", "10")
+    path = tmp_path / "payload"
+    for payload in (
+        b"LEXPARSE 11 a\nE a\nC 10 1\n",
+        b'{"n":11,"ordering":"a","phrases":[["E","a"],["C",10,1]]}',
+    ):
+        path.write_bytes(payload)
+        code, out, err = run_cli(capsys, "decode", "--file", str(path))
+        assert (code, out) == (2, ""), payload
+        assert err.startswith("error: cannot decode parse:") and "cap 10" in err, err
+        assert err.count("\n") == 1, err
+    path.write_bytes(b"LEXPARSE 10 a\nE a\nC 9 1\n")
+    assert run_cli(capsys, "decode", "--file", str(path)) == (0, "a" * 10 + "\n", "")
+
+
 def test_out_writes_file(capsys, tmp_path):
     path = tmp_path / "word.txt"
     code, _, _ = run_cli(capsys, "gen", "--gen", "fib:7", "--out", str(path))

@@ -94,6 +94,13 @@ def test_copy_phrase_invariants_against_suffix_array():
             assert length == sa.lcp_at_rank(sa.rank_of(start))
 
 
+def test_walk_does_not_compute_the_lcp_array():
+    for w in ("ababbaaba", fibonacci(12), edited_fib(12), "cabbage"):
+        sa = build_suffix_array(w)
+        assert lex_parse(w, sa=sa) == lex_parse_naive(w)
+        assert "lcp" not in vars(sa)
+
+
 def test_matches_naive_oracle_exhaustive():
     for w in all_binary_strings(1, 12):
         for ordering in (ORD_AB, ORD_BA):
@@ -192,6 +199,11 @@ def test_line_serialization_rejects_junk():
         "LEXPARSE 0 ab",
         "LEXPARSE 1 ab\nE \\x6\\",  # bad escape
         "LEXPARSE 2 aa\nE a\nE a",  # duplicate symbol in the header ordering
+        "LEXPARSE 1_0 a\nE a\nC 9 1",  # numbers are plain ASCII digits: no "_",
+        "LEXPARSE 10 a\nE a\nC +9 1",  # no sign,
+        "LEXPARSE \u0663 a\nE a\nC 2 1",  # no non-ASCII digit (ARABIC-INDIC THREE)
+        "LEXPARSE 3 a\nE a\nC 2 \u0661",
+        "LEXPARSE 2 a\\x01\nE a\nE \\x+1",  # an escape takes two hex digits
     ):
         with pytest.raises(MalformedParseError):
             from_lines(junk)

@@ -1,0 +1,64 @@
+"""Property tests: fast paths against their oracles under random orderings of up to 256 symbols."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from conftest import assert_lcp_matches_direct_scans  # noqa: E402
+from lexparse.alphabet import MAX_ALPHABET, AlphabetOrdering  # noqa: E402
+from lexparse.parse import decode, from_lines, lex_parse, lex_parse_naive, to_lines  # noqa: E402
+from lexparse.suffixes import build_suffix_array, build_suffix_array_naive  # noqa: E402
+
+
+@st.composite
+def text_and_ordering(draw) -> tuple[str, AlphabetOrdering]:
+    """A text of at most 60 symbols and a random ordering of up to 256 latin-1 symbols covering it.
+
+    The text mostly draws on a few of the ordering's symbols, so that it
+    repeats itself and its suffixes share long prefixes.
+    """
+    symbols = draw(
+        st.lists(
+            st.characters(min_codepoint=0, max_codepoint=255),
+            min_size=1,
+            max_size=MAX_ALPHABET,
+            unique=True,
+        )
+    )
+    used = draw(st.one_of(st.integers(1, min(4, len(symbols))), st.integers(1, len(symbols))))
+    text = "".join(draw(st.lists(st.sampled_from(symbols[:used]), min_size=1, max_size=60)))
+    return text, AlphabetOrdering(tuple(symbols))
+
+
+PROPERTY = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@hypothesis.given(text_and_ordering())
+def test_suffix_array_matches_naive(case):
+    text, ordering = case
+    fast = build_suffix_array(text, ordering)
+    slow = build_suffix_array_naive(text, ordering)
+    assert (fast.sa, fast.rank) == (slow.sa, slow.rank)
+
+
+@PROPERTY
+@hypothesis.given(text_and_ordering())
+def test_lcp_matches_direct_scans(case):
+    assert_lcp_matches_direct_scans(build_suffix_array(*case))
+
+
+@PROPERTY
+@hypothesis.given(text_and_ordering())
+def test_parse_matches_naive(case):
+    assert lex_parse(*case) == lex_parse_naive(*case)
+
+
+@PROPERTY
+@hypothesis.given(text_and_ordering())
+def test_decode_inverts_parse(case):
+    text, ordering = case
+    p = lex_parse(text, ordering)
+    assert decode(p) == text
+    assert from_lines(to_lines(p)) == p
