@@ -51,7 +51,6 @@ from .suffixes import SuffixArray, build_suffix_array, build_suffix_array_naive
 from .textops import (
     EditCandidate,
     edit_candidates,
-    enumerate_edits,
     is_primitive,
     longest_border,
     occurrences,
@@ -99,7 +98,6 @@ __all__ = [
     "build_suffix_array_naive",
     "EditCandidate",
     "edit_candidates",
-    "enumerate_edits",
     "occurrences",
     "is_primitive",
     "longest_border",

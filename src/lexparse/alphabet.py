@@ -39,15 +39,19 @@ class AlphabetOrdering:
         return cls(tuple(spec))
 
     @classmethod
-    def standard(cls, text: str) -> AlphabetOrdering:
-        """The ordering of the distinct symbols of ``text`` by their code points."""
+    def for_text(cls, text: str, ordering: AlphabetOrdering | None = None) -> AlphabetOrdering:
+        """The ordering ``text`` is read under: ``ordering`` once it is checked to
+        cover the text, or by default its distinct symbols in code-point order."""
         if not text:
-            raise ValueError("cannot derive an ordering from empty text")
-        return cls(tuple(sorted(set(text))))
-
-    @property
-    def sigma(self) -> int:
-        return len(self.symbols)
+            raise ValueError("text must be non-empty")
+        if ordering is None:
+            return cls(tuple(sorted(set(text))))
+        extra = sorted(set(text).difference(ordering._rank))
+        if extra:
+            raise ValueError(
+                f"text contains symbols {extra!r} outside the ordering {ordering.spec!r}"
+            )
+        return ordering
 
     @property
     def spec(self) -> str:
@@ -62,18 +66,10 @@ class AlphabetOrdering:
 
     def key(self, text: str) -> tuple[int, ...]:
         """Rank tuple of ``text``; tuple comparison realizes the induced string order."""
-        rank = self._rank
         try:
-            return tuple(rank[c] for c in text)
+            return tuple(map(self._rank.__getitem__, text))
         except KeyError as exc:
             raise ValueError(f"symbol {exc.args[0]!r} not in ordering {self.spec!r}") from None
-
-    def require_covers(self, text: str) -> None:
-        extra = sorted(set(text) - set(self.symbols))
-        if extra:
-            raise ValueError(
-                f"text contains symbols {extra!r} outside the ordering {self.spec!r}"
-            )
 
 
 def all_orderings(symbols: Iterable[str]) -> Iterator[AlphabetOrdering]:

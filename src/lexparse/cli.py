@@ -17,8 +17,9 @@ import os
 import sys
 
 from .alphabet import AlphabetOrdering
-from .fibwords import FibSpec
+from .fibwords import DEFAULT_MAX_N, FibSpec, fib_length
 from .parse import (
+    _decimal,
     decode,
     from_dict,
     from_lines,
@@ -35,8 +36,6 @@ from .sensitivity import (
 )
 from .verify import GROUP_NAMES, all_passed, run_verification
 
-DEFAULT_MAX_N = 10_000_000
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -51,9 +50,18 @@ def _max_n() -> int:
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        cap = _decimal(raw)
     except ValueError:
-        raise CliError(f"LEXPARSE_MAX_N must be an integer, got {raw!r}") from None
+        cap = 0
+    if cap < 1:
+        raise CliError(f"LEXPARSE_MAX_N must be a plain decimal number >= 1, got {raw!r}")
+    return cap
+
+
+def _over_cap(what: str, cap: int) -> CliError:
+    return CliError(
+        f"{what} more than {cap} symbols, above the cap (raise LEXPARSE_MAX_N to allow it)"
+    )
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -86,21 +94,14 @@ def _resolve_text(args: argparse.Namespace) -> str:
         return text
     spec = FibSpec.parse(args.gen)
     cap = _max_n()
-    length = spec.length()
-    if length > cap:
-        raise CliError(
-            f"{args.gen} generates {length} symbols, above the cap {cap} "
-            "(raise LEXPARSE_MAX_N to allow it)"
-        )
+    if spec.length(cap) > cap:
+        raise _over_cap(f"{args.gen} generates", cap)
     return spec.build()
 
 
 def _resolve_ordering(args: argparse.Namespace, text: str) -> AlphabetOrdering:
-    if getattr(args, "order", None):
-        ordering = AlphabetOrdering.from_string(args.order)
-        ordering.require_covers(text)
-        return ordering
-    return AlphabetOrdering.standard(text)
+    order = AlphabetOrdering.from_string(args.order) if args.order else None
+    return AlphabetOrdering.for_text(text, order)
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -256,6 +257,10 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     k_min, k_max = _parse_range(args.k)
+    cap = _max_n()
+    # The longest word a range builds is phi_run(k_max), of f(2k_max+3)-1 symbols.
+    if fib_length(2 * k_max + 3, cap + 1) - 1 > cap:
+        raise _over_cap(f"--k {args.k} builds words of", cap)
     results = run_verification(range(k_min, k_max + 1), only=args.only)
     lines = [r.line() for r in results]
     passed = all_passed(results)
@@ -271,10 +276,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _parse_range(spec: str) -> tuple[int, int]:
     lo, sep, hi = spec.partition("..")
     try:
-        if sep:
-            k_min, k_max = int(lo), int(hi)
-        else:
-            k_min = k_max = int(lo)
+        k_min = _decimal(lo)
+        k_max = _decimal(hi) if sep else k_min
     except ValueError:
         raise CliError(f"bad range {spec!r}; expected <a..b> or <k>") from None
     if k_min > k_max:

@@ -11,15 +11,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
+from .parse import _decimal
 
-def fib_length(k: int) -> int:
-    """Length of the k-th Fibonacci word (1, 1, 2, 3, 5, ...)."""
+DEFAULT_MAX_N = 10_000_000  # default cap on the length of a generated word
+
+
+def fib_length(k: int, cap: int | None = None) -> int:
+    """Length of the k-th Fibonacci word (1, 1, 2, 3, 5, ...).
+
+    With ``cap``, the recurrence stops once a length passes ``cap`` and
+    ``cap + 1`` stands for every length above it, so checking any index
+    against a size cap takes O(log cap) additions.
+    """
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
     a, b = 1, 1
     for _ in range(k - 2):
+        if cap is not None and b > cap:
+            break
         a, b = b, a + b
-    return b if k >= 2 else a
+    return b if cap is None else min(b, cap + 1)
 
 
 def fibonacci(k: int) -> str:
@@ -137,24 +148,25 @@ class FibSpec:
                 f"bad generator spec {spec!r}; expected <fib|gib|T|phi>:<k>"
             )
         try:
-            k = int(num)
+            k = _decimal(num)
         except ValueError:
             raise ValueError(f"bad generator index in {spec!r}") from None
         return cls(variant, k)  # type: ignore[arg-type]
 
-    def length(self) -> int:
-        """Length of the word this spec generates, computed without building it."""
+    def length(self, cap: int | None = None) -> int:
+        """Length of the word this spec generates, computed without building it
+        (``cap + 1`` for any length above ``cap``, as in :func:`fib_length`)."""
         if self.variant == "phi":
             if self.k < 1:
                 raise ValueError(f"index must be >= 1, got {self.k}")
-            return fib_length(2 * self.k + 1)
+            return fib_length(2 * self.k + 1, cap)
         if self.variant == "gib" and self.k < 3:
             raise ValueError(f"index must be >= 3, got {self.k}")
         if self.variant == "T":
             _require_even(self.k)
         if self.k < 1:
             raise ValueError(f"index must be >= 1, got {self.k}")
-        return fib_length(self.k)
+        return fib_length(self.k, cap)
 
     def build(self) -> str:
         if self.variant == "fib":

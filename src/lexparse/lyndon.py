@@ -9,11 +9,7 @@ from .alphabet import AlphabetOrdering
 
 def is_lyndon(w: str, ordering: AlphabetOrdering | None = None) -> bool:
     """True iff ``w`` is strictly smaller than every proper suffix of itself."""
-    if not w:
-        raise ValueError("input must be non-empty")
-    if ordering is None:
-        ordering = AlphabetOrdering.standard(w)
-    key = ordering.key(w)
+    key = AlphabetOrdering.for_text(w, ordering).key(w)
     return all(key < key[i:] for i in range(1, len(key)))
 
 
@@ -27,11 +23,6 @@ class LyndonFactorization:
 
     factors: tuple[tuple[str, int], ...]
     ordering: AlphabetOrdering
-
-    @property
-    def m(self) -> int:
-        """Number of distinct factors."""
-        return len(self.factors)
 
     def expand(self) -> str:
         return "".join(lam * p for lam, p in self.factors)
@@ -48,12 +39,7 @@ class LyndonFactorization:
 
 def lyndon_factorize(w: str, ordering: AlphabetOrdering | None = None) -> LyndonFactorization:
     """The unique decreasing factorization of ``w`` into Lyndon-word powers (Duval, linear)."""
-    if not w:
-        raise ValueError("input must be non-empty")
-    if ordering is None:
-        ordering = AlphabetOrdering.standard(w)
-    else:
-        ordering.require_covers(w)
+    ordering = AlphabetOrdering.for_text(w, ordering)
     s = ordering.key(w)
     n = len(s)
     raw: list[str] = []

@@ -132,12 +132,7 @@ def lex_parse_naive(text: str, ordering: AlphabetOrdering | None = None) -> LexP
     Independent of the suffix-array module; kept as the oracle for
     :func:`lex_parse`.
     """
-    if not text:
-        raise ValueError("text must be non-empty")
-    if ordering is None:
-        ordering = AlphabetOrdering.standard(text)
-    else:
-        ordering.require_covers(text)
+    ordering = AlphabetOrdering.for_text(text, ordering)
     n = len(text)
     keys = {i: ordering.key(text[i - 1 :]) for i in range(1, n + 1)}
     order = sorted(range(1, n + 1), key=keys.__getitem__)
@@ -276,7 +271,8 @@ def _unescape_symbols(s: str) -> list[str]:
 
 
 def _decimal(s: str) -> int:
-    """A number as :func:`to_lines` writes it: plain ASCII digits, no sign or ``_``."""
+    """A number as :func:`to_lines` writes it, and as the CLI reads its numbers:
+    plain ASCII digits, no sign, space or ``_``."""
     if not (s.isascii() and s.isdigit()):
         raise ValueError(f"{s!r} is not a plain decimal number")
     return int(s)

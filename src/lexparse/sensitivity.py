@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alphabet import AlphabetOrdering, all_orderings
-from .fibwords import edited_fib, fib_length, fibonacci
+from .fibwords import DEFAULT_MAX_N, edited_fib, fib_length, fibonacci
 from .parse import lex_parse, v_count
 from .textops import EditCandidate, edit_candidates, normalize_kind
 
@@ -58,14 +58,9 @@ def edit_sensitivity_scan(
     candidate, in position-major order, to reach the maximum.
     """
     kind = normalize_kind(kind)
-    if not text:
-        raise ValueError("text must be non-empty")
+    ordering = AlphabetOrdering.for_text(text, ordering)
     if kind == "del" and len(text) < 2:
         raise ValueError("deletion scan needs a text of length >= 2")
-    if ordering is None:
-        ordering = AlphabetOrdering.standard(text)
-    else:
-        ordering.require_covers(text)
     base_v = v_count(text, ordering)
     max_v = -1
     witness: EditCandidate | None = None
@@ -110,9 +105,8 @@ def ao_sensitivity_scan(text: str) -> AOSensitivityReport:
     Refuses texts with more than 8 distinct symbols, where factorial
     enumeration stops being a desk-scale computation.
     """
-    if not text:
-        raise ValueError("text must be non-empty")
-    sigma = len(set(text))
+    symbols = AlphabetOrdering.for_text(text).symbols
+    sigma = len(symbols)
     if sigma > MAX_AO_SIGMA:
         raise ValueError(
             f"text has {sigma} distinct symbols; exhaustive ordering enumeration is "
@@ -123,7 +117,7 @@ def ao_sensitivity_scan(text: str) -> AOSensitivityReport:
     argmax = argmin = ""
     max_v = -1
     min_v = None
-    for ordering in all_orderings(set(text)):
+    for ordering in all_orderings(symbols):
         v = v_count(text, ordering)
         per[ordering.spec] = v
         if v > max_v:
@@ -153,7 +147,7 @@ class GrowthRow:
 
 
 def sensitivity_growth_table(
-    k_min: int, k_max: int, max_n: int = 10_000_000
+    k_min: int, k_max: int, max_n: int = DEFAULT_MAX_N
 ) -> list[GrowthRow]:
     """Ratio growth of the canonical substitution witness over the even family.
 
@@ -165,9 +159,9 @@ def sensitivity_growth_table(
     """
     if not 6 <= k_min <= k_max:
         raise ValueError(f"need 6 <= k_min <= k_max, got {k_min}..{k_max}")
-    if fib_length(2 * k_max) > max_n:
+    if fib_length(2 * k_max, max_n) > max_n:
         raise ValueError(
-            f"f({2 * k_max}) = {fib_length(2 * k_max)} exceeds the size cap {max_n}"
+            f"f({2 * k_max}) is more than {max_n} symbols and exceeds the size cap"
         )
     rows = []
     for k in range(k_min, k_max + 1):

@@ -102,9 +102,8 @@ class SuffixArray:
 
 def build_suffix_array(text: str, ordering: AlphabetOrdering | None = None) -> SuffixArray:
     """Suffix array of ``text`` under ``ordering`` (default: code-point order)."""
-    ranks, ordering = _symbol_ranks(text, ordering)
-    sa0 = _doubling_sort(ranks)
-    return _finish(text, ordering, sa0)
+    ordering = AlphabetOrdering.for_text(text, ordering)
+    return _finish(text, ordering, _doubling_sort(ordering.key(text)))
 
 
 def build_suffix_array_naive(text: str, ordering: AlphabetOrdering | None = None) -> SuffixArray:
@@ -112,25 +111,12 @@ def build_suffix_array_naive(text: str, ordering: AlphabetOrdering | None = None
 
     Quadratic; kept as the permanent oracle for the doubling construction.
     """
-    ranks, ordering = _symbol_ranks(text, ordering)
-    sa0 = sorted(range(len(ranks)), key=lambda i: ranks[i:])
-    return _finish(text, ordering, sa0)
+    ordering = AlphabetOrdering.for_text(text, ordering)
+    ranks = ordering.key(text)
+    return _finish(text, ordering, sorted(range(len(ranks)), key=lambda i: ranks[i:]))
 
 
-def _symbol_ranks(
-    text: str, ordering: AlphabetOrdering | None
-) -> tuple[list[int], AlphabetOrdering]:
-    if not text:
-        raise ValueError("text must be non-empty")
-    if ordering is None:
-        ordering = AlphabetOrdering.standard(text)
-    else:
-        ordering.require_covers(text)
-    rank = {c: ordering.rank(c) for c in set(text)}
-    return [rank[c] for c in text], ordering
-
-
-def _doubling_sort(ranks: list[int]) -> list[int]:
+def _doubling_sort(ranks: tuple[int, ...]) -> list[int]:
     """0-based suffix array by prefix doubling over integer keys."""
     n = len(ranks)
     sa = sorted(range(n), key=ranks.__getitem__)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .alphabet import AlphabetOrdering
 
@@ -85,11 +85,7 @@ class EditCandidate:
     text: str
 
 
-def edit_candidates(
-    w: str,
-    kind: str,
-    alphabet: str | Sequence[str] | AlphabetOrdering,
-) -> Iterator[EditCandidate]:
+def edit_candidates(w: str, kind: str, alphabet: AlphabetOrdering) -> Iterator[EditCandidate]:
     """Every neighbour of ``w`` at edit distance exactly 1, with edit metadata.
 
     Enumeration order is deterministic: position-major, then replacement
@@ -97,8 +93,6 @@ def edit_candidates(
     equal strings; deduplication is the caller's concern.
     """
     kind = normalize_kind(kind)
-    if not isinstance(alphabet, AlphabetOrdering):
-        alphabet = AlphabetOrdering(tuple(alphabet))  # validates the symbols
     symbols = alphabet.symbols
     n = len(w)
     if kind in ("sub", "del") and n < 1:
@@ -115,13 +109,3 @@ def edit_candidates(
     else:
         for i in range(n):
             yield EditCandidate("del", i + 1, w[i], None, w[:i] + w[i + 1 :])
-
-
-def enumerate_edits(
-    w: str,
-    kind: str,
-    alphabet: str | Sequence[str] | AlphabetOrdering,
-) -> Iterator[str]:
-    """The texts of :func:`edit_candidates`, in the same deterministic order."""
-    for cand in edit_candidates(w, kind, alphabet):
-        yield cand.text

@@ -315,16 +315,15 @@ class Group:
     func: Callable[[int], list[CheckResult]]
     min_defined: int  # smallest k the checks can be computed at
     min_asserted: int  # smallest k the claims are stated for
-    description: str
 
 
 GROUPS: tuple[Group, ...] = (
-    Group("fib", verify_fib_combinatorics, 1, 1, "elementary Fibonacci-word combinatorics"),
-    Group("lyndon", verify_lyndon, 2, 2, "Lyndon factorization closed forms"),
-    Group("suffixes", verify_suffix_structs, 2, 2, "suffix-array closed forms"),
-    Group("edited", verify_edited_word, 4, 6, "single-edit witness parse structure"),
-    Group("orderings", verify_fib_orderings, 6, 6, "four-case parse structure"),
-    Group("lz", verify_lz, 2, 2, "LZ77 factor counts"),
+    Group("fib", verify_fib_combinatorics, 1, 1),
+    Group("lyndon", verify_lyndon, 2, 2),
+    Group("suffixes", verify_suffix_structs, 2, 2),
+    Group("edited", verify_edited_word, 4, 6),
+    Group("orderings", verify_fib_orderings, 6, 6),
+    Group("lz", verify_lz, 2, 2),
 )
 
 GROUP_NAMES = tuple(g.name for g in GROUPS)

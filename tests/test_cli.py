@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -266,6 +267,64 @@ def test_decode_honours_max_n(capsys, monkeypatch, tmp_path):
         assert err.count("\n") == 1, err
     path.write_bytes(b"LEXPARSE 10 a\nE a\nC 9 1\n")
     assert run_cli(capsys, "decode", "--file", str(path)) == (0, "a" * 10 + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "env, command",
+    [
+        *((cap, "gen --gen fib:6") for cap in ("1_000", "+50", " 40 ", "\u0663\u0660", "-1", "0")),
+        (None, "gen --gen fib:1_0"),
+        (None, "gen --gen fib:+7"),
+        (None, "gen --gen fib:\u0667"),
+        (None, "verify --k \u0666..\u0666 --only lz"),
+        (None, "verify --k +6..0_6 --only lz"),
+    ],
+)
+def test_numbers_are_plain_ascii_digits(capsys, monkeypatch, env, command):
+    """The cap, generator indices and --k bounds are read like line records:
+    plain ASCII digits with no sign, space or ``_``; the cap is at least 1."""
+    if env is None:
+        monkeypatch.delenv("LEXPARSE_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("LEXPARSE_MAX_N", env)
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, out) == (2, "")
+    expected = "error: LEXPARSE_MAX_N must be" if env is not None else "error: bad "
+    assert err.startswith(expected) and err.count("\n") == 1, err
+
+
+HUGE_INDICES = [
+    ("gen --gen fib:20000", "generates more than 10000000 symbols"),
+    ("gen --gen fib:100000", "generates more than 10000000 symbols"),
+    ("gen --gen fib:10000000", "generates more than 10000000 symbols"),
+    ("growth --k 6..100000", "is more than 10000000 symbols and exceeds the size cap"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, message", HUGE_INDICES, ids=[command for command, _ in HUGE_INDICES]
+)
+def test_size_cap_refuses_huge_indices_at_once(capsys, monkeypatch, command, message):
+    monkeypatch.delenv("LEXPARSE_MAX_N", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *command.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+
+def test_verify_honours_max_n(capsys, monkeypatch):
+    # phi_run(6), the longest word of --k 6..6, has f(15) - 1 = 609 symbols.
+    for cap in ("10", "608"):
+        monkeypatch.setenv("LEXPARSE_MAX_N", cap)
+        code, out, err = run_cli(capsys, "verify", "--k", "6..6")
+        assert (code, out) == (2, "")
+        assert f"more than {cap} symbols" in err and err.count("\n") == 1, err
+    monkeypatch.setenv("LEXPARSE_MAX_N", "609")
+    assert run_cli(capsys, "verify", "--k", "6..6", "--only", "lyndon")[0] == 0
+    monkeypatch.delenv("LEXPARSE_MAX_N")
+    code, out, err = run_cli(capsys, "verify", "--k", "6..6")
+    assert code == 0 and "OK:" in out and err == ""
 
 
 def test_out_writes_file(capsys, tmp_path):

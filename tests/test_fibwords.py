@@ -138,7 +138,18 @@ def test_fibspec_parsing_and_build():
 
 
 def test_fibspec_errors():
-    for bad in ("fib", "fib:", "fib:x", "nope:3", "T:7"):
+    for bad in (
+        "fib", "fib:", "fib:x", "nope:3", "T:7", "fib:1_0", "fib:+7", "fib: 7", "fib:\u0667",
+    ):
         with pytest.raises(ValueError):
             spec = FibSpec.parse(bad)
             spec.length()
+
+
+def test_fib_length_stops_at_the_cap():
+    for cap in (1, 10, 144, 1000):
+        for k in range(1, 30):
+            assert fib_length(k, cap) == min(fib_length(k), cap + 1), (k, cap)
+    assert fib_length(10**9, 10**7) == 10**7 + 1  # at once: the loop stops near k = 36
+    assert FibSpec.parse("phi:3").length(cap=5) == 6
+    assert FibSpec.parse("fib:10000000").length(cap=99) == 100

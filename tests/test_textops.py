@@ -8,13 +8,14 @@ from lexparse.fibwords import fib_length, fibonacci
 from lexparse.textops import (
     EditCandidate,
     edit_candidates,
-    enumerate_edits,
     is_primitive,
     longest_border,
     normalize_kind,
     occurrences,
     substring,
 )
+
+AB = AlphabetOrdering.from_string("ab")
 
 
 def naive_occurrences(pattern, text):
@@ -112,27 +113,31 @@ def test_longest_border_matches_naive():
         assert longest_border(w) == naive_border(w)
 
 
+def edit_texts(w, kind, alphabet):
+    return [c.text for c in edit_candidates(w, kind, alphabet)]
+
+
 def test_substitutions_small():
-    got = list(enumerate_edits("ab", "sub", "ab"))
+    got = edit_texts("ab", "sub", AB)
     assert got == ["bb", "aa"]
 
 
 def test_delete_small():
-    assert list(enumerate_edits("a", "del", "ab")) == [""]
-    assert list(enumerate_edits("ab", "del", "ab")) == ["b", "a"]
+    assert edit_texts("a", "del", AB) == [""]
+    assert edit_texts("ab", "del", AB) == ["b", "a"]
 
 
 def test_insert_small():
-    got = list(enumerate_edits("ab", "ins", "ab"))
+    got = edit_texts("ab", "ins", AB)
     assert got == ["aab", "bab", "aab", "abb", "aba", "abb"]  # duplicates permitted
 
 
 def test_candidate_counts():
     F = fibonacci(12)
     n = len(F)
-    assert sum(1 for _ in enumerate_edits(F, "sub", "ab")) == n * (2 - 1) == 144
-    assert sum(1 for _ in enumerate_edits(F, "ins", "ab")) == (n + 1) * 2
-    assert sum(1 for _ in enumerate_edits(F, "del", "ab")) == n
+    assert len(edit_texts(F, "sub", AB)) == n * (2 - 1) == 144
+    assert len(edit_texts(F, "ins", AB)) == (n + 1) * 2
+    assert len(edit_texts(F, "del", AB)) == n
 
 
 def test_candidates_have_edit_distance_one():
@@ -140,7 +145,7 @@ def test_candidates_have_edit_distance_one():
     for _ in range(30):
         w = random_text(rng, "abc", 12)
         for kind, delta in (("sub", 0), ("ins", 1), ("del", -1)):
-            for cand in edit_candidates(w, kind, "abc"):
+            for cand in edit_candidates(w, kind, AlphabetOrdering.from_string("abc")):
                 assert len(cand.text) == len(w) + delta
                 assert cand.text != w
                 if kind == "sub":
@@ -162,18 +167,18 @@ def test_candidate_order_is_position_major():
     ]
 
 
-def test_enumerate_edits_deterministic():
+def test_edit_candidates_deterministic():
     F = fibonacci(8)
-    assert list(enumerate_edits(F, "sub", "ab")) == list(enumerate_edits(F, "sub", "ab"))
+    assert edit_texts(F, "sub", AB) == edit_texts(F, "sub", AB)
 
 
 def test_edit_errors():
     with pytest.raises(ValueError):
-        list(edit_candidates("ab", "sub", ""))
+        list(edit_candidates("ab", "sub", AlphabetOrdering.from_string("")))
     with pytest.raises(ValueError):
-        list(edit_candidates("", "sub", "ab"))
+        list(edit_candidates("", "sub", AB))
     with pytest.raises(ValueError):
-        list(edit_candidates("", "del", "ab"))
+        list(edit_candidates("", "del", AB))
     with pytest.raises(ValueError):
         normalize_kind("swap")
 
@@ -185,5 +190,5 @@ def test_kind_aliases():
 
 
 def test_candidate_dataclass_fields():
-    (c,) = list(edit_candidates("a", "del", "ab"))
+    (c,) = list(edit_candidates("a", "del", AB))
     assert c == EditCandidate("del", 1, "a", None, "")
