@@ -71,32 +71,38 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--gen", help="generator spec: <fib|gib|T|phi>:<k>")
 
 
-def _read(path: str | None) -> str:
-    """Raw bytes of ``path`` (stdin when None), mapped symbol-for-byte."""
+def _read(path: str | None, size: int = -1) -> str:
+    """Raw bytes of ``path`` (stdin when None), mapped symbol-for-byte; with
+    ``size`` >= 0, at most that many bytes of ``path``."""
     if path is None:
         return sys.stdin.buffer.read().decode("latin-1")
     try:
         with open(path, "rb") as fh:
-            return fh.read().decode("latin-1")
+            return fh.read(size).decode("latin-1")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
 def _resolve_text(args: argparse.Namespace) -> str:
+    """The input text, refused before any construction if it is over the size cap."""
+    cap = _max_n()
+    if args.gen is not None:
+        spec = FibSpec.parse(args.gen)
+        if spec.length(cap) > cap:
+            raise _over_cap(f"{args.gen} generates", cap)
+        return spec.build()
     if args.text is not None:
         if not args.text:
             raise CliError("--text must be non-empty")
-        return args.text
-    if args.file is not None:
-        text = _read(args.file)
+        text, source = args.text, "--text"
+    else:
+        # One byte past the cap is enough to refuse a file without loading all of it.
+        text, source = _read(args.file, cap + 1), args.file
         if not text:
             raise CliError(f"{args.file} is empty")
-        return text
-    spec = FibSpec.parse(args.gen)
-    cap = _max_n()
-    if spec.length(cap) > cap:
-        raise _over_cap(f"{args.gen} generates", cap)
-    return spec.build()
+    if len(text) > cap:
+        raise _over_cap(f"{source} has", cap)
+    return text
 
 
 def _resolve_ordering(args: argparse.Namespace, text: str) -> AlphabetOrdering:
@@ -170,9 +176,17 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    text = _resolve_text(args)
     if args.what == "ao":
-        return _render(args, *_ao_report(ao_sensitivity_scan(text)))
+        edit_only = {
+            "--order": args.order is not None,
+            "--kind": args.kind is not None,
+            "--rows": args.rows,
+        }
+        given = [flag for flag, on in edit_only.items() if on]
+        if given:
+            raise CliError(f"scan ao does not take {', '.join(given)} (scan edit only)")
+        return _render(args, *_ao_report(ao_sensitivity_scan(_resolve_text(args))))
+    text = _resolve_text(args)
     if not args.kind:
         raise CliError("scan edit requires --kind <sub|ins|del>")
     ordering = _resolve_ordering(args, text)
@@ -335,8 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("what", choices=("edit", "ao"), help="edit-sensitivity or ordering-sensitivity")
     _add_input_args(ps)
     ps.add_argument("--kind", help="edit kind for edit scans: sub, ins or del")
-    ps.add_argument("--order", help="ordering spec; extra symbols widen the insert alphabet")
-    ps.add_argument("--rows", action="store_true", help="retain one row per candidate")
+    ps.add_argument(
+        "--order", help="ordering spec for edit scans; extra symbols widen the insert alphabet"
+    )
+    ps.add_argument("--rows", action="store_true", help="edit scans: one row per candidate")
     ps.add_argument("--format", choices=("human", "csv", "json"), default="human")
     ps.add_argument("--out", help="write output to this path instead of stdout")
     ps.set_defaults(func=_cmd_scan)

@@ -107,16 +107,22 @@ def lex_parse(
     elif sa.text != text or (ordering is not None and sa.ordering != ordering):
         raise ValueError("suffix array does not match the given text/ordering")
     n = sa.n
+    starts, rank = sa.sa, sa.rank
     phrases: list[Phrase] = []
-    i = 1
-    while i <= n:
-        j = sa.previous_suffix(i)
-        l = 0 if j is None else sa.lcp_between(i, j)
+    i = 0  # 0-based start of the next phrase
+    while i < n:
+        r = rank[i]
+        l = 0
+        if r > 1:
+            j = starts[r - 2] - 1  # 0-based start of the predecessor suffix
+            m = n - max(i, j)
+            while l < m and text[i + l] == text[j + l]:
+                l += 1
         if l == 0:
-            phrases.append(Explicit(text[i - 1]))
+            phrases.append(Explicit(text[i]))
             i += 1
         else:
-            phrases.append(Copy(l, j))
+            phrases.append(Copy(l, j + 1))
             i += l
     return LexParse(tuple(phrases), n, sa.ordering)
 

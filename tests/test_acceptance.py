@@ -196,7 +196,7 @@ def test_c07_suffix_array_oracle():
     for k in range(6, 13):
         sa = build_suffix_array(edited_fib(2 * k), ORD_AB)
         assert [sa.suffix_start(r) for r in range(1, k + 2)] == edited_sa_prefix(k), k
-    print("CRITERION 7 PASS: doubling equals naive and the LCP equals direct scans "
+    print("CRITERION 7 PASS: SA-IS equals naive and the LCP equals direct scans "
           "on all binary words to length 12; "
           "closed-form suffix-array prefixes hold, k=6..12")
 

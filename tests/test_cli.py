@@ -146,6 +146,22 @@ def test_scan_ao_rejects_wide_alphabet(capsys):
     assert "distinct symbols" in err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--order", "zzz"], "--order"),
+        (["--order", "ab"], "--order"),
+        (["--kind", "sub"], "--kind"),
+        (["--rows"], "--rows"),
+        (["--kind", "del", "--rows"], "--kind, --rows"),
+    ],
+)
+def test_scan_ao_rejects_edit_flags(capsys, flags, named):
+    code, out, err = run_cli(capsys, "scan", "ao", "--gen", "fib:8", *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: scan ao does not take {named} (scan edit only)\n", err
+
+
 def test_growth_csv(capsys):
     code, out, _ = run_cli(capsys, "growth", "--k", "6..7")
     assert code == 0
@@ -267,6 +283,28 @@ def test_decode_honours_max_n(capsys, monkeypatch, tmp_path):
         assert err.count("\n") == 1, err
     path.write_bytes(b"LEXPARSE 10 a\nE a\nC 9 1\n")
     assert run_cli(capsys, "decode", "--file", str(path)) == (0, "a" * 10 + "\n", "")
+
+
+def test_max_n_caps_text_and_file(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("LEXPARSE_MAX_N", "10")
+    over, at_cap = tmp_path / "over", tmp_path / "at_cap"
+    over.write_bytes(b"ab" * 5 + b"a")
+    at_cap.write_bytes(b"ab" * 5)
+    for source in (["--text", "ab" * 5 + "a"], ["--file", str(over)]):
+        code, out, err = run_cli(capsys, "parse", *source)
+        assert (code, out) == (2, ""), source
+        assert err.startswith("error: ") and "more than 10 symbols" in err, err
+        assert err.count("\n") == 1, err
+    for source in (["--text", "ab" * 5], ["--file", str(at_cap)]):
+        code, out, err = run_cli(capsys, "parse", *source, "--format", "lexparse")
+        assert (code, err) == (0, ""), source
+        assert out.startswith("LEXPARSE 10 ab\n"), out
+    # a file far over the cap is refused after reading cap + 1 bytes of it
+    huge = tmp_path / "huge"
+    with open(huge, "wb") as fh:
+        fh.truncate(1 << 26)  # sparse: takes no space on disk
+    code, out, err = run_cli(capsys, "parse", "--file", str(huge))
+    assert (code, out) == (2, "") and "more than 10 symbols" in err, err
 
 
 @pytest.mark.parametrize(

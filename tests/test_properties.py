@@ -31,12 +31,46 @@ def text_and_ordering(draw) -> tuple[str, AlphabetOrdering]:
     return text, AlphabetOrdering(tuple(symbols))
 
 
+@st.composite
+def run_heavy_text_and_ordering(draw) -> tuple[str, AlphabetOrdering]:
+    """Runs of up to 200 copies of one symbol between single other symbols, under a
+    random ordering; with no other symbols the text is unary.
+
+    Long runs make long stretches of one suffix type for SA-IS's induce
+    passes, and repeated runs make equal LMS substrings, which send it into
+    its recursion.
+    """
+    symbols = draw(
+        st.lists(
+            st.characters(min_codepoint=0, max_codepoint=255), min_size=1, max_size=4, unique=True
+        )
+    )
+    main, others = symbols[0], symbols[1:]
+    pieces = (
+        draw(st.lists(st.tuples(st.integers(0, 200), st.sampled_from(others)), max_size=6))
+        if others
+        else []
+    )
+    text = "".join(main * r + c for r, c in pieces)
+    text += main * draw(st.integers(0 if text else 1, 200))
+    return text, AlphabetOrdering(tuple(draw(st.permutations(symbols))))
+
+
 PROPERTY = hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 @PROPERTY
 @hypothesis.given(text_and_ordering())
 def test_suffix_array_matches_naive(case):
+    text, ordering = case
+    fast = build_suffix_array(text, ordering)
+    slow = build_suffix_array_naive(text, ordering)
+    assert (fast.sa, fast.rank) == (slow.sa, slow.rank)
+
+
+@PROPERTY
+@hypothesis.given(run_heavy_text_and_ordering())
+def test_suffix_array_matches_naive_on_runs(case):
     text, ordering = case
     fast = build_suffix_array(text, ordering)
     slow = build_suffix_array_naive(text, ordering)

@@ -5,7 +5,7 @@ import pytest
 from conftest import all_binary_strings, assert_lcp_matches_direct_scans, random_text
 from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.closedforms import edited_sa_prefix
-from lexparse.fibwords import edited_fib, fib_length
+from lexparse.fibwords import edited_fib, fib_length, fibonacci
 from lexparse.suffixes import build_suffix_array, build_suffix_array_naive
 
 ORD_AB = AlphabetOrdering.from_string("ab")
@@ -14,14 +14,14 @@ ORD_BA = AlphabetOrdering.from_string("ba")
 
 def test_run_of_a():
     sa = build_suffix_array("aaa")
-    assert sa.sa == (3, 2, 1)
+    assert tuple(sa.sa) == (3, 2, 1)
     assert sa.lcp == (0, 1, 2)
 
 
 def test_worked_example_sa():
     # sorted by hand: a, aaba, aba, ababbaaba, abbaaba, ba, baaba, babbaaba, bbaaba
     sa = build_suffix_array("ababbaaba", ORD_AB)
-    assert sa.sa == (9, 6, 7, 1, 3, 8, 5, 2, 4)
+    assert tuple(sa.sa) == (9, 6, 7, 1, 3, 8, 5, 2, 4)
     for i in range(1, sa.n + 1):
         assert sa.rank_of(sa.suffix_start(i)) == i
 
@@ -85,6 +85,39 @@ def test_doubling_matches_naive_random():
         assert_lcp_matches_direct_scans(fast)
 
 
+def assert_matches_naive(w, ordering=None):
+    fast = build_suffix_array(w, ordering)
+    slow = build_suffix_array_naive(w, ordering)
+    assert (fast.sa, fast.rank) == (slow.sa, slow.rank), (w, ordering)
+
+
+def test_sais_matches_naive_on_unary_texts():
+    # one LMS position (the sentinel's): the induce passes alone sort the text
+    for n in range(1, 201):
+        assert_matches_naive("a" * n)
+
+
+def test_sais_matches_naive_on_run_heavy_texts():
+    # long runs of one symbol between single other symbols
+    rng = random.Random(31)
+    for _ in range(150):
+        main, *others = rng.sample("abcd", rng.randint(2, 4))
+        w = "".join(main * rng.randint(0, 40) + rng.choice(others) for _ in range(rng.randint(1, 8)))
+        w += main * rng.randint(0, 40)
+        symbols = sorted(set(w))
+        assert_matches_naive(w, AlphabetOrdering(tuple(rng.sample(symbols, len(symbols)))))
+
+
+def test_sais_matches_naive_on_fibonacci_words():
+    # every level of SA-IS on a Fibonacci word recurses (6 levels at index 16);
+    # the quadratic oracle stops at index 16 (987 symbols)
+    for ordering in (ORD_AB, ORD_BA):
+        for k in range(1, 17):
+            assert_matches_naive(fibonacci(k), ordering)
+        for k in range(2, 9):
+            assert_matches_naive(edited_fib(2 * k), ordering)
+
+
 def test_ordering_absorbed_by_renaming():
     rng = random.Random(7)
     for _ in range(60):
@@ -108,9 +141,9 @@ def test_ordering_absorbed_by_renaming():
 
 def test_suffix_invariants_hold():
     sa = build_suffix_array("mississippi")
-    key = sa.ordering.key
+    key, text = sa.ordering.key, sa.text
     for r in range(2, sa.n + 1):
-        assert key(sa.suffix(sa.suffix_start(r - 1))) < key(sa.suffix(sa.suffix_start(r)))
+        assert key(text[sa.suffix_start(r - 1) - 1 :]) < key(text[sa.suffix_start(r) - 1 :])
 
 
 def test_edited_word_sa_prefix_closed_form():
@@ -118,7 +151,7 @@ def test_edited_word_sa_prefix_closed_form():
         sa = build_suffix_array(edited_fib(2 * k), ORD_AB)
         assert [sa.suffix_start(r) for r in range(1, k + 2)] == edited_sa_prefix(k)
     sa = build_suffix_array(edited_fib(12), ORD_AB)
-    assert sa.sa[:3] == (144, 143, 142)
+    assert tuple(sa.sa[:3]) == (144, 143, 142)
     assert sa.suffix_start(sa.n) == fib_length(9)  # largest suffix
 
 
