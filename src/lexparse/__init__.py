@@ -54,7 +54,6 @@ from .textops import (
     is_primitive,
     longest_border,
     occurrences,
-    substring,
 )
 from .verify import CheckResult, GROUP_NAMES, all_passed, run_verification
 
@@ -101,7 +100,6 @@ __all__ = [
     "occurrences",
     "is_primitive",
     "longest_border",
-    "substring",
     "EditRow",
     "EditSensitivityReport",
     "AOSensitivityReport",

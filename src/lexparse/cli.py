@@ -19,6 +19,7 @@ import sys
 from .alphabet import AlphabetOrdering
 from .fibwords import DEFAULT_MAX_N, FibSpec, fib_length
 from .parse import (
+    Explicit,
     _decimal,
     decode,
     from_dict,
@@ -112,8 +113,11 @@ def _resolve_ordering(args: argparse.Namespace, text: str) -> AlphabetOrdering:
 
 def _emit(payload: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="latin-1", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w", encoding="latin-1", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(payload)
 
@@ -164,7 +168,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     for idx, ((start, length), ph, s) in enumerate(
         zip(parse.spans(), parse.phrases, contents), 1
     ):
-        kind, source = ("E", "") if ph.is_explicit else ("C", ph.source)
+        kind, source = ("E", "") if isinstance(ph, Explicit) else ("C", ph.source)
         rows.append([idx, start, length, kind, source])
         preview = s if len(s) <= 24 else s[:21] + "..."
         lines.append(f"{idx:>4} {start:>8} {length:>8} {kind:>4} {source:>8}  {preview}")

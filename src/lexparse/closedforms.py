@@ -177,12 +177,12 @@ def edited_parse_phrases(k: int) -> list[str]:
     return out
 
 
-def inserted_parse_phrases(k: int, sentinel: str = "$") -> list[str]:
+def inserted_parse_phrases(k: int) -> list[str]:
     """Predicted phrase contents for the sentinel-insertion edit: 2k phrases.
 
     Mirrors the substitution parse with each pair prefixed by an extra a on
     the block and shortened by one more symbol on the suffix side, then the
-    tail a, ba, sentinel, b, a.
+    tail a, ba, $, b, a.
     """
     if k < 4:
         raise ValueError(f"parse display needs k >= 4, got {k}")
@@ -191,7 +191,7 @@ def inserted_parse_phrases(k: int, sentinel: str = "$") -> list[str]:
     for i in range(k - 3, 0, -1):
         out.append("a" + dec.y_expected(i))
         out.append(dec.z_expected(i - 1)[:-2])
-    out.extend(["a", "ba", sentinel, "b", "a"])
+    out.extend(["a", "ba", "$", "b", "a"])
     return out
 
 

@@ -74,18 +74,14 @@ def edited_fib_deleted(k2: int) -> str:
     return fibonacci(k2)[:-2] + "a"
 
 
-def edited_fib_inserted(k2: int, sentinel: str = "$") -> str:
-    """Even-index Fibonacci word with ``sentinel`` inserted just before its rightmost b.
+def edited_fib_inserted(k2: int) -> str:
+    """Even-index Fibonacci word with the sentinel ``$`` inserted just before its rightmost b.
 
     The caller is responsible for ranking the sentinel (conventionally the
     smallest symbol) when parsing the result.
     """
     _require_even(k2)
-    if len(sentinel) != 1:
-        raise ValueError(f"sentinel must be a single symbol, got {sentinel!r}")
-    if sentinel in "ab":
-        raise ValueError("sentinel must not collide with the base alphabet")
-    return fibonacci(k2)[:-2] + sentinel + "ba"
+    return fibonacci(k2)[:-2] + "$ba"
 
 
 def _require_even(k2: int) -> None:

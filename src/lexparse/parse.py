@@ -19,7 +19,7 @@ from .suffixes import SuffixArray, build_suffix_array
 
 
 class MalformedParseError(ValueError):
-    """A malformed serialization or phrase sequence (see :func:`_validate`), or a reference cycle."""
+    """A malformed serialization or phrase sequence (see :class:`LexParse`), or a reference cycle."""
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ class Explicit:
     def length(self) -> int:
         return 1
 
-    @property
-    def is_explicit(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Copy:
@@ -44,21 +40,52 @@ class Copy:
     length: int
     source: int
 
-    @property
-    def is_explicit(self) -> bool:
-        return False
-
 
 Phrase = Union[Explicit, Copy]
 
 
 @dataclass(frozen=True)
 class LexParse:
-    """An ordered phrase sequence covering a text of length ``n``."""
+    """An ordered phrase sequence covering a text of length ``n``, well formed by construction.
+
+    ``n`` is an exact ``int`` >= 1 (not a ``bool``, a ``float`` or a numeric
+    string); an explicit phrase holds one symbol of the ordering; a copy
+    phrase has an exact-``int`` length >= 1 and a source with
+    ``1 <= source <= n - length + 1``; the phrase lengths sum to ``n``.
+    Construction raises :class:`MalformedParseError` on a breach of these
+    rules.  Reference cycles are the one fault left to :func:`decode`.
+    """
 
     phrases: tuple[Phrase, ...]
     n: int
     ordering: AlphabetOrdering
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if type(n) is not int or n < 1:
+            raise MalformedParseError(f"text length {n!r} is not an integer >= 1")
+        symbols = set(self.ordering.symbols)
+        pos = 1
+        for ph in self.phrases:
+            if isinstance(ph, Explicit):
+                if not (isinstance(ph.symbol, str) and ph.symbol in symbols):
+                    raise MalformedParseError(
+                        f"explicit phrase at {pos} holds {ph.symbol!r}, "
+                        f"not a symbol of the ordering {self.ordering.spec!r}"
+                    )
+                pos += 1
+                continue
+            length, source = ph.length, ph.source
+            if type(length) is not int or length < 1:
+                raise MalformedParseError(f"copy phrase at {pos} has length {length!r}")
+            if type(source) is not int or not 1 <= source <= n - length + 1:
+                raise MalformedParseError(
+                    f"copy phrase at {pos} of length {length} has source {source!r} "
+                    f"outside [1..{n - length + 1}]"
+                )
+            pos += length
+        if pos - 1 != n:
+            raise MalformedParseError(f"phrase lengths sum to {pos - 1}, expected {n}")
 
     @property
     def v(self) -> int:
@@ -165,51 +192,13 @@ def lex_parse_naive(text: str, ordering: AlphabetOrdering | None = None) -> LexP
     return LexParse(tuple(phrases), n, ordering)
 
 
-def _validate(parse: LexParse) -> None:
-    """Raise :class:`MalformedParseError` unless ``parse`` is a well-formed phrase sequence.
-
-    ``n`` is an exact ``int`` >= 1 (not a ``bool``, a ``float`` or a numeric
-    string); an explicit phrase holds one symbol of the ordering; a copy
-    phrase has an exact-``int`` length >= 1 and a source with
-    ``1 <= source <= n - length + 1``; the phrase lengths sum to ``n``.
-    Reference cycles are the one fault left to :func:`decode`.
-    """
-    n = parse.n
-    if type(n) is not int or n < 1:
-        raise MalformedParseError(f"text length {n!r} is not an integer >= 1")
-    symbols = set(parse.ordering.symbols)
-    pos = 1
-    for ph in parse.phrases:
-        if isinstance(ph, Explicit):
-            if not (isinstance(ph.symbol, str) and ph.symbol in symbols):
-                raise MalformedParseError(
-                    f"explicit phrase at {pos} holds {ph.symbol!r}, "
-                    f"not a symbol of the ordering {parse.ordering.spec!r}"
-                )
-            pos += 1
-            continue
-        length, source = ph.length, ph.source
-        if type(length) is not int or length < 1:
-            raise MalformedParseError(f"copy phrase at {pos} has length {length!r}")
-        if type(source) is not int or not 1 <= source <= n - length + 1:
-            raise MalformedParseError(
-                f"copy phrase at {pos} of length {length} has source {source!r} "
-                f"outside [1..{n - length + 1}]"
-            )
-        pos += length
-    if pos - 1 != n:
-        raise MalformedParseError(f"phrase lengths sum to {pos - 1}, expected {n}")
-
-
 def decode(parse: LexParse) -> str:
     """Reconstruct the unique text a lex-parse represents.
 
     Every copied position follows its source chain until it reaches an
-    explicit symbol; chains are memoized.  Raises
-    :class:`MalformedParseError` when ``parse`` breaks a rule of
-    :func:`_validate` or holds a reference cycle.
+    explicit symbol; chains are memoized.  A well-formed parse can still
+    hold a reference cycle, and then :class:`MalformedParseError` is raised.
     """
-    _validate(parse)
     n = parse.n
     out: list[str | None] = [None] * (n + 1)
     ref = [0] * (n + 1)
@@ -224,16 +213,16 @@ def decode(parse: LexParse) -> str:
     for p in range(1, n + 1):
         if out[p] is not None:
             continue
+        # Mark the chain's positions with "" as it is followed; meeting a mark closes a cycle.
         chain = []
         q = p
-        seen = set()
         while out[q] is None:
-            if q in seen:
-                raise MalformedParseError(f"reference cycle through position {q}")
-            seen.add(q)
+            out[q] = ""
             chain.append(q)
             q = ref[q]
         c = out[q]
+        if not c:
+            raise MalformedParseError(f"reference cycle through position {q}")
         for x in chain:
             out[x] = c
     return "".join(out[1:])  # type: ignore[arg-type]
@@ -242,11 +231,14 @@ def decode(parse: LexParse) -> str:
 # --- serialization ---------------------------------------------------------
 #
 # Line format:   header "LEXPARSE <n> <ordering>", then one record per
-# phrase: "E <symbol>" or "C <length> <source>".  Symbols outside printable
-# ASCII (and backslash/space) are escaped as \xNN so the format stays
-# line-oriented for arbitrary byte alphabets.
+# phrase: "E <symbol>" or "C <length> <source>".  Symbols are bytes
+# (U+0000..U+00FF); those outside printable ASCII (and backslash/space) are
+# escaped as \xNN so the format stays line-oriented for any byte alphabet.
 
 _HEADER = "LEXPARSE"
+# The line breaks of str.splitlines, matched lazily so that a payload is read
+# only as far as its first fault.
+_LINE = re.compile("[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]+")
 
 
 def _escape_symbol(c: str) -> str:
@@ -254,6 +246,8 @@ def _escape_symbol(c: str) -> str:
         return "\\\\"
     if 0x21 <= ord(c) <= 0x7E:
         return c
+    if ord(c) > 0xFF:
+        raise ValueError(f"symbol {c!r} is above U+00FF; line records hold byte symbols only")
     return f"\\x{ord(c):02x}"
 
 
@@ -285,7 +279,7 @@ def _decimal(s: str) -> int:
 
 
 def to_lines(parse: LexParse) -> str:
-    """Serialize a parse to the line-record format."""
+    """Serialize a parse to the line-record format; every symbol must be a byte (<= U+00FF)."""
     ordering = "".join(_escape_symbol(c) for c in parse.ordering.symbols)
     lines = [f"{_HEADER} {parse.n} {ordering}"]
     for ph in parse.phrases:
@@ -297,19 +291,25 @@ def to_lines(parse: LexParse) -> str:
 
 
 def from_lines(serialized: str) -> LexParse:
-    """Parse the line-record format back into a :class:`LexParse`."""
-    lines = [ln for ln in serialized.splitlines() if ln.strip()]
-    if not lines:
+    """Parse the line-record format back into a :class:`LexParse`.
+
+    Every phrase covers at least one symbol, so reading stops at the first
+    record past the declared ``n``.
+    """
+    lines = (m[0] for m in _LINE.finditer(serialized) if not m[0].isspace())
+    ln = next(lines, None)
+    if ln is None:
         raise MalformedParseError("empty serialization")
-    head = lines[0].split()
+    head = ln.split()
     if len(head) != 3 or head[0] != _HEADER:
-        raise MalformedParseError(f"bad header {lines[0]!r}")
-    ln = lines[0]
+        raise MalformedParseError(f"bad header {ln!r}")
     phrases: list[Phrase] = []
     try:
         n = _decimal(head[1])
         ordering = AlphabetOrdering(tuple(_unescape_symbols(head[2])))
-        for ln in lines[1:]:
+        for ln in lines:
+            if len(phrases) == n:
+                raise ValueError(f"more phrase records than the {n} declared symbols")
             match ln.split():
                 case ["E", symbol]:
                     phrases.append(Explicit("".join(_unescape_symbols(symbol))))
@@ -319,9 +319,7 @@ def from_lines(serialized: str) -> LexParse:
                     raise ValueError("not a phrase record")
     except ValueError as exc:
         raise MalformedParseError(f"bad line {ln!r}: {exc}") from None
-    parse = LexParse(tuple(phrases), n, ordering)
-    _validate(parse)
-    return parse
+    return LexParse(tuple(phrases), n, ordering)
 
 
 def to_dict(parse: LexParse) -> dict:
@@ -342,10 +340,14 @@ def to_dict(parse: LexParse) -> dict:
 
 
 def from_dict(obj: dict) -> LexParse:
-    """Inverse of :func:`to_dict`."""
+    """Inverse of :func:`to_dict`; like :func:`from_lines`, it stops at the first
+    record past the declared ``n``."""
     phrases: list[Phrase] = []
     try:
-        for rec in obj["phrases"]:
+        records, n = obj["phrases"], obj["n"]
+        for rec in records:
+            if len(phrases) == n:
+                raise ValueError(f"more phrase records than the {n} declared symbols")
             match rec:
                 case ["E", symbol]:
                     phrases.append(Explicit(symbol))
@@ -353,11 +355,10 @@ def from_dict(obj: dict) -> LexParse:
                     phrases.append(Copy(length, source))
                 case _:
                     raise ValueError(f"bad phrase record {rec!r}")
-        parse = LexParse(tuple(phrases), obj["n"], AlphabetOrdering.from_string(obj["ordering"]))
+        ordering = AlphabetOrdering.from_string(obj["ordering"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedParseError(f"bad parse object: {exc}") from None
-    _validate(parse)
-    return parse
+    return LexParse(tuple(phrases), n, ordering)
 
 
 def lz77_count(text: str) -> int:

@@ -78,11 +78,6 @@ class SuffixArray:
             return None
         return self.sa[r - 2]
 
-    def lcp_at_rank(self, r: int) -> int:
-        """LCP of the suffixes of ranks r-1 and r; 0 when r == 1."""
-        self._check_pos(r)
-        return self.lcp[r - 1]
-
     def lcp_between(self, i: int, j: int) -> int:
         """LCP length of the suffixes starting at positions i and j, by direct scan."""
         self._check_pos(i)

@@ -23,15 +23,6 @@ def normalize_kind(kind: str) -> str:
         raise ValueError(f"unknown edit kind {kind!r}; expected one of {EDIT_KINDS}") from None
 
 
-def substring(w: str, i: int, j: int) -> str:
-    """1-based inclusive slice w[i..j]; empty whenever i > j."""
-    if i > j:
-        return ""
-    if i < 1 or j > len(w):
-        raise ValueError(f"slice [{i}..{j}] out of range for length {len(w)}")
-    return w[i - 1 : j]
-
-
 def occurrences(pattern: str, text: str) -> list[int]:
     """All 1-based start positions of ``pattern`` in ``text``, ascending; overlaps count."""
     if not pattern:

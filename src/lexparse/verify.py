@@ -85,11 +85,6 @@ class _Checker:
         )
         return condition
 
-    def info(self, name: str, detail: str) -> None:
-        self.results.append(
-            CheckResult(self.group, name, self.k, True, asserted=False, detail=detail)
-        )
-
 
 def _preview(x, width: int = 24) -> str:
     s = str(x)

@@ -285,6 +285,44 @@ def test_decode_honours_max_n(capsys, monkeypatch, tmp_path):
     assert run_cli(capsys, "decode", "--file", str(path)) == (0, "a" * 10 + "\n", "")
 
 
+def test_decode_stops_at_the_first_record_past_n(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "payload"
+    for payload in (
+        b"LEXPARSE 2 a\nE a\nE a\nE a\nQ\n",
+        b'{"n":2,"ordering":"a","phrases":[["E","a"],["E","a"],["E","a"],["Q"]]}',
+    ):
+        path.write_bytes(payload)
+        code, out, err = run_cli(capsys, "decode", "--file", str(path))
+        assert (code, out) == (2, ""), payload
+        assert err.startswith("error: cannot decode parse:") and err.count("\n") == 1, err
+        assert "more phrase records than the 2 declared symbols" in err, err
+    # 2,000,000 records (8 MB) behind a 10-symbol header are refused at record 11
+    monkeypatch.setenv("LEXPARSE_MAX_N", "10")
+    path.write_bytes(b"LEXPARSE 10 a\n" + b"E a\n" * 2_000_000)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "decode", "--file", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "") and err.count("\n") == 1, err
+    assert err.startswith("error: cannot decode parse: bad line 'E a': more phrase records"), err
+
+
+def test_out_write_errors_exit_2(capsys, tmp_path):
+    for argv in (
+        ["gen", "--gen", "fib:5", "--out", str(tmp_path / "missing" / "x")],
+        ["verify", "--k", "6", "--out", str(tmp_path)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: cannot write {argv[-1]}: ") and err.count("\n") == 1, err
+
+
+def test_lexparse_format_refuses_symbols_above_latin1(capsys):
+    # line records hold byte symbols: a wider one is refused, not written in a form decode rejects
+    code, out, err = run_cli(capsys, "parse", "--text", "\u0100b\u0100b", "--format", "lexparse")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: symbol '\u0100' is above U+00FF") and err.count("\n") == 1, err
+
+
 def test_max_n_caps_text_and_file(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("LEXPARSE_MAX_N", "10")
     over, at_cap = tmp_path / "over", tmp_path / "at_cap"

@@ -89,11 +89,6 @@ def test_edited_variants():
         F = fibonacci(k2)
         assert edited_fib_deleted(k2) == F[:-2] + "a"
         assert edited_fib_inserted(k2) == F[:-2] + "$ba"
-        assert edited_fib_inserted(k2, "#") == F[:-2] + "#ba"
-    with pytest.raises(ValueError):
-        edited_fib_inserted(8, "ab")
-    with pytest.raises(ValueError):
-        edited_fib_inserted(8, "a")
 
 
 def test_phi():

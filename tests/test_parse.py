@@ -42,7 +42,7 @@ def test_worked_example():
         Explicit("a"),
     )
     assert p.starts() == [1, 4, 5, 7, 8, 9]
-    assert [ph.is_explicit for ph in p.phrases] == [False] * 4 + [True, True]
+    assert [isinstance(ph, Explicit) for ph in p.phrases] == [False] * 4 + [True, True]
 
 
 def test_fib8_parse():
@@ -71,7 +71,7 @@ def test_explicit_count_equals_alphabet_size():
     for _ in range(80):
         w = random_text(rng, "abcd", 60)
         p = lex_parse(w)
-        assert sum(ph.is_explicit for ph in p.phrases) == len(set(w))
+        assert sum(isinstance(ph, Explicit) for ph in p.phrases) == len(set(w))
         assert p.v >= len(set(w))
 
 
@@ -82,16 +82,16 @@ def test_copy_phrase_invariants_against_suffix_array():
         sa = build_suffix_array(w)
         p = lex_parse(w, sa=sa)
         for (start, length), ph in zip(p.spans(), p.phrases):
-            if ph.is_explicit:
+            if isinstance(ph, Explicit):
                 # explicit iff the suffix is the smallest one starting with its symbol
-                assert sa.lcp_at_rank(sa.rank_of(start)) == 0
+                assert sa.lcp[sa.rank_of(start) - 1] == 0
                 continue
             # content equality with the source
             assert w[start - 1 : start - 1 + length] == w[ph.source - 1 : ph.source - 1 + length]
             # source is the immediate lexicographic predecessor
             assert sa.rank_of(ph.source) == sa.rank_of(start) - 1
             # greedy maximality: length is the full adjacent-rank lcp
-            assert length == sa.lcp_at_rank(sa.rank_of(start))
+            assert length == sa.lcp[sa.rank_of(start) - 1]
 
 
 def test_walk_does_not_compute_the_lcp_array():
@@ -150,18 +150,38 @@ def test_decode_single_explicit():
 
 
 def test_decode_rejects_bad_lengths():
-    p = LexParse((Explicit("a"), Explicit("b")), 3, ORD_AB)
-    with pytest.raises(MalformedParseError):
-        decode(p)
+    # a malformed parse cannot be built, so it never reaches decode
+    with pytest.raises(MalformedParseError, match=r"^phrase lengths sum to 2, expected 3$"):
+        LexParse((Explicit("a"), Explicit("b")), 3, ORD_AB)
 
 
 def test_decode_rejects_bad_source():
-    p = LexParse((Explicit("a"), Copy(2, 4)), 3, ORD_AB)  # source run [4..5] outside [1..3]
-    with pytest.raises(MalformedParseError):
-        decode(p)
-    p = LexParse((Copy(2, 0), Explicit("a")), 3, ORD_AB)
-    with pytest.raises(MalformedParseError):
-        decode(p)
+    with pytest.raises(MalformedParseError, match=r"outside \[1\.\.2\]"):
+        LexParse((Explicit("a"), Copy(2, 4)), 3, ORD_AB)  # source run [4..5] outside [1..3]
+    with pytest.raises(MalformedParseError, match="has source 0"):
+        LexParse((Copy(2, 0), Explicit("a")), 3, ORD_AB)
+
+
+@pytest.mark.parametrize(
+    "phrases, n, message",
+    [
+        ((Explicit("a"),), 0, "text length 0 is not an integer >= 1"),
+        ((Explicit("a"),), True, "text length True is not an integer >= 1"),
+        ((Explicit("a"),), 1.0, "text length 1.0 is not an integer >= 1"),
+        ((Explicit("c"),), 1, "explicit phrase at 1 holds 'c', not a symbol of the ordering 'ab'"),
+        ((Explicit("ab"),), 1, "explicit phrase at 1 holds 'ab'"),
+        ((Explicit("a"), Copy(0, 1)), 2, "copy phrase at 2 has length 0"),
+        ((Explicit("a"), Copy(1.0, 1)), 2, "copy phrase at 2 has length 1.0"),
+        ((Explicit("a"), Copy(1, True)), 2, "copy phrase at 2 of length 1 has source True"),
+        ((Explicit("a"), Explicit("b"), Explicit("a")), 2, "phrase lengths sum to 3, expected 2"),
+    ],
+    ids=["n-zero", "n-bool", "n-float", "symbol-outside", "two-symbols", "length-zero",
+         "length-float", "source-bool", "lengths-sum"],
+)
+def test_malformed_parse_cannot_be_built(phrases, n, message):
+    with pytest.raises(MalformedParseError) as exc:
+        LexParse(phrases, n, ORD_AB)
+    assert str(exc.value).startswith(message)
 
 
 def test_decode_rejects_cycles():
@@ -207,6 +227,25 @@ def test_line_serialization_rejects_junk():
     ):
         with pytest.raises(MalformedParseError):
             from_lines(junk)
+
+
+def test_deserializers_stop_at_the_first_record_past_n():
+    # a text of n symbols has at most n phrases: record n + 1 is refused, not the junk after it
+    with pytest.raises(MalformedParseError, match=r"^bad line 'E a': more phrase records"):
+        from_lines("LEXPARSE 2 a\nE a\nE a\nE a\nQ\n")
+    obj = {"n": 2, "ordering": "a", "phrases": [["E", "a"]] * 3 + [["Q"]]}
+    with pytest.raises(MalformedParseError, match=r"^bad parse object: more phrase records"):
+        from_dict(obj)
+
+
+def test_line_records_hold_byte_symbols_only():
+    w = "\u0100b\u0100b"
+    p = lex_parse(w)
+    assert decode(p) == w
+    with pytest.raises(ValueError, match="above U\\+00FF"):
+        to_lines(p)
+    latin1 = "\xffb\xffb"
+    assert decode(from_lines(to_lines(lex_parse(latin1)))) == latin1
 
 
 def test_dict_serialization_round_trip():

@@ -45,7 +45,7 @@ def test_lcp_between_examples():
     assert sa.lcp_between(1, 7) == 3  # common prefix "aba"
     # adjacent ranks reproduce the lcp array
     for r in range(2, n + 1):
-        assert sa.lcp_between(sa.suffix_start(r - 1), sa.suffix_start(r)) == sa.lcp_at_rank(r)
+        assert sa.lcp_between(sa.suffix_start(r - 1), sa.suffix_start(r)) == sa.lcp[r - 1]
     with pytest.raises(ValueError):
         sa.lcp_between(0, 3)
 
@@ -60,7 +60,7 @@ def test_lcp_between_equals_range_minimum():
         ri, rj = sorted((sa.rank_of(i), sa.rank_of(j)))
         if ri == rj:
             continue
-        expected = min(sa.lcp_at_rank(r) for r in range(ri + 1, rj + 1))
+        expected = min(sa.lcp[r - 1] for r in range(ri + 1, rj + 1))
         assert sa.lcp_between(i, j) == expected
 
 

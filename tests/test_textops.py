@@ -12,7 +12,6 @@ from lexparse.textops import (
     longest_border,
     normalize_kind,
     occurrences,
-    substring,
 )
 
 AB = AlphabetOrdering.from_string("ab")
@@ -24,17 +23,6 @@ def naive_occurrences(pattern, text):
         for i in range(len(text) - len(pattern) + 1)
         if text[i : i + len(pattern)] == pattern
     ]
-
-
-def test_substring_is_one_based_inclusive():
-    w = "abcdef"
-    assert substring(w, 1, 3) == "abc"
-    assert substring(w, 4, 4) == "d"
-    assert substring(w, 5, 2) == ""
-    with pytest.raises(ValueError):
-        substring(w, 0, 3)
-    with pytest.raises(ValueError):
-        substring(w, 1, 7)
 
 
 def test_occurrences_fibonacci_structure():
