@@ -21,6 +21,7 @@ from .fibwords import DEFAULT_MAX_N, FibSpec, fib_length
 from .parse import (
     Explicit,
     _decimal,
+    _declared_n,
     decode,
     from_dict,
     from_lines,
@@ -112,10 +113,19 @@ def _resolve_ordering(args: argparse.Namespace, text: str) -> AlphabetOrdering:
 
 
 def _emit(payload: str, out: str | None) -> None:
+    """Write ``payload`` to stdout, or to the file ``out`` symbol-for-byte
+    (latin-1, as ``--file`` reads it); a wider symbol is refused before the
+    file is created."""
     if out:
         try:
-            with open(out, "w", encoding="latin-1", newline="") as fh:
-                fh.write(payload)
+            data = payload.encode("latin-1")
+        except UnicodeEncodeError as exc:
+            raise CliError(
+                f"cannot write {out}: symbol {payload[exc.start]!r} is above U+00FF"
+            ) from None
+        try:
+            with open(out, "wb") as fh:
+                fh.write(data)
         except OSError as exc:
             raise CliError(f"cannot write {out}: {exc}") from None
     else:
@@ -317,15 +327,17 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     payload = _read(args.file)
     try:
         if payload.lstrip().startswith("{"):
-            parse = from_dict(json.loads(payload))
+            serialized, read = json.loads(payload), from_dict
         else:
-            parse = from_lines(payload)
-        if parse.n > cap:
+            serialized, read = payload, from_lines
+        # Refuse an oversized parse on its declared n, before reading any record.
+        n = _declared_n(serialized)
+        if n is not None and n > cap:
             raise ValueError(
-                f"it declares {parse.n} symbols, above the cap {cap} "
+                f"it declares {n} symbols, above the cap {cap} "
                 "(raise LEXPARSE_MAX_N to allow it)"
             )
-        text = decode(parse)
+        text = decode(read(serialized))
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"cannot decode parse: {exc}") from None
     _emit(text + ("\n" if args.out is None else ""), args.out)

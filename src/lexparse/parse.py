@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .alphabet import AlphabetOrdering
 from .suffixes import SuffixArray, build_suffix_array
@@ -290,12 +290,9 @@ def to_lines(parse: LexParse) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_lines(serialized: str) -> LexParse:
-    """Parse the line-record format back into a :class:`LexParse`.
-
-    Every phrase covers at least one symbol, so reading stops at the first
-    record past the declared ``n``.
-    """
+def _header(serialized: str) -> tuple[str, Iterator[str]]:
+    """The header line of the line-record format, checked to hold three fields,
+    and the lines after it."""
     lines = (m[0] for m in _LINE.finditer(serialized) if not m[0].isspace())
     ln = next(lines, None)
     if ln is None:
@@ -303,6 +300,30 @@ def from_lines(serialized: str) -> LexParse:
     head = ln.split()
     if len(head) != 3 or head[0] != _HEADER:
         raise MalformedParseError(f"bad header {ln!r}")
+    return ln, lines
+
+
+def _declared_n(serialized: str | dict) -> int | None:
+    """The text length a serialization declares, read before any phrase record:
+    the header's ``n`` of the line records, or the ``"n"`` of the dictionary
+    form.  None when that is not a plain number; the full reader says why."""
+    if isinstance(serialized, dict):
+        n = serialized.get("n")
+        return n if type(n) is int else None
+    try:
+        return _decimal(_header(serialized)[0].split()[1])
+    except ValueError:
+        return None
+
+
+def from_lines(serialized: str) -> LexParse:
+    """Parse the line-record format back into a :class:`LexParse`.
+
+    Every phrase covers at least one symbol, so reading stops at the first
+    record past the declared ``n``.
+    """
+    ln, lines = _header(serialized)
+    head = ln.split()
     phrases: list[Phrase] = []
     try:
         n = _decimal(head[1])

@@ -8,12 +8,14 @@ candidate in enumeration order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .alphabet import AlphabetOrdering, all_orderings
 from .fibwords import DEFAULT_MAX_N, edited_fib, fib_length, fibonacci
 from .parse import lex_parse, v_count
+from .suffixes import build_suffix_array
 from .textops import EditCandidate, edit_candidates, normalize_kind
 
 MAX_AO_SIGMA = 8
@@ -50,41 +52,200 @@ def edit_sensitivity_scan(
     ordering: AlphabetOrdering | None = None,
     keep_rows: bool = False,
 ) -> EditSensitivityReport:
-    """Parse every single-edit neighbour of ``text`` and report the worst ratio.
+    """Count the phrases of every single-edit neighbour of ``text`` and report the worst ratio.
 
     The candidate alphabet is the ordering's symbol set, so passing an
     ordering with extra symbols (e.g. a sentinel ranked below everything)
     deliberately widens the insertion alphabet.  The witness is the first
-    candidate, in position-major order, to reach the maximum.
+    candidate, in position-major order, to reach the maximum.  One suffix
+    array is built, for ``text``; each neighbour is then counted by queries
+    on it (see :class:`_EditedCounter`), at a cost that grows with its
+    phrase count rather than with a construction of its own.
     """
     kind = normalize_kind(kind)
     ordering = AlphabetOrdering.for_text(text, ordering)
     if kind == "del" and len(text) < 2:
         raise ValueError("deletion scan needs a text of length >= 2")
-    base_v = v_count(text, ordering)
+    if kind == "sub" and len(ordering.symbols) < 2:
+        raise ValueError(
+            f"substitution scan needs an ordering of two or more symbols, got {ordering.spec!r}"
+        )
+    counter = _EditedCounter(text, ordering)
     max_v = -1
     witness: EditCandidate | None = None
     rows: list[EditRow] | None = [] if keep_rows else None
     count = 0
     for cand in edit_candidates(text, kind, ordering):
-        v = v_count(cand.text, ordering)
+        v = counter.edited_v(cand)
         count += 1
         if rows is not None:
             rows.append(EditRow(cand.kind, cand.position, cand.old, cand.new, v))
         if v > max_v:
             max_v = v
             witness = cand
-    assert witness is not None  # kinds guarantee at least one candidate
+    assert witness is not None  # the checks above leave at least one candidate
     return EditSensitivityReport(
         kind=kind,
         ordering=ordering,
-        base_v=base_v,
+        base_v=counter.base_v,
         max_v=max_v,
-        max_ratio=Fraction(max_v, base_v),
+        max_ratio=Fraction(max_v, counter.base_v),
         witness=witness,
         candidates=count,
         rows=tuple(rows) if rows is not None else None,
     )
+
+
+class _EditedCounter:
+    """Lex-parse phrase counts of the single-edit neighbours of one text.
+
+    Symbols are renamed to ``chr(rank)``, so that ``str`` comparison is the
+    order under the ordering (a proper prefix sorts first, as with no end
+    marker).  In these terms the base text is ``u`` and a neighbour is
+    ``t = u[:a] + e + u[b:]``, with ``b = a + 1`` for a substitution or a
+    deletion, ``b = a`` for an insertion, and ``e`` empty for a deletion.
+
+    A phrase starting at i copies the longest common prefix of ``x = t[i:]``
+    with a smaller suffix of ``t``.  Every other suffix of ``t`` is one of:
+    a tail suffix (starting after the edit), equal to a base suffix; an
+    unaffected head ``t[j:]`` (j < a, sharing fewer than ``a - j`` symbols
+    with ``x``), which compares with ``x`` as its base copy ``u[j:]`` does;
+    an affected head, ``x[:a-j] + t[a:]``; or the edited suffix ``t[a:]``.
+    :meth:`edited_v` takes the best of the three groups at each phrase start.
+    """
+
+    def __init__(self, text: str, ordering: AlphabetOrdering):
+        self.table = {ord(c): chr(r) for r, c in enumerate(ordering.symbols)}
+        self.u = u = text.translate(self.table)
+        sa = build_suffix_array(text, ordering)
+        self.sa = [p - 1 for p in sa.sa]  # 0-based start of the suffix of 0-based rank r
+        self.rank = rank = [r - 1 for r in sa.rank]  # 0-based rank of the suffix at i
+        self.lcp = lcp = sa.lcp  # lcp[r]: LCP of the suffixes of 0-based ranks r-1 and r
+        v = i = 0
+        while i < len(u):
+            i += lcp[rank[i]] or 1
+            v += 1
+        self.base_v = v
+
+    def edited_v(self, cand: EditCandidate) -> int:
+        """Phrase count of ``cand.text``, one of the base text's neighbours."""
+        u, sa, rank, lcp = self.u, self.sa, self.rank, self.lcp
+        t = cand.text.translate(self.table)
+        n = len(t)
+        a = cand.position - 1
+        b = a + (cand.old is not None)
+        tail = a + (cand.new is not None)  # t[j:] == u[j + b - tail:] for j >= tail
+        # Before the edit, x = u[i:a] + t[a:] agrees with u[i:] on a - i + c
+        # symbols, c the LCP of t[a:] and u[a:], and the order of t[a:] and
+        # u[a:] is the order of x and u[i:].
+        c = _lce(t, a, u, a)
+        edited_below = t[a:] < u[a:]
+        reach = _reach(t, a)
+        v = i = 0
+        while i < n:
+            x = t[i:]
+            # 1. The nearest smaller base suffix that is not affected: its LCP
+            # with x is the best of all unaffected ones, since LCPs with x do
+            # not grow going down the suffix array.  k is x's insertion point.
+            if i >= tail:
+                k = rank[i + b - tail]
+                best = lcp[k]
+            else:
+                k = -1
+                if i < len(u):  # no neighbour to start from when appending at the end
+                    r, agree = rank[i], a - i + c
+                    if edited_below:
+                        if lcp[r] < agree:
+                            k, best = r, lcp[r]
+                    elif r + 1 == len(sa) or lcp[r + 1] < agree:
+                        k, best = r + 1, agree
+                if k < 0:
+                    k = bisect_left(sa, x, key=lambda p: u[p:])
+                    best = _lce(x, 0, u, sa[k - 1]) if k else 0
+            k -= 1
+            while k >= 0:
+                p = sa[k]
+                if p >= b or (p < a and best < a - p):
+                    break
+                if lcp[k] < best:
+                    best = lcp[k]
+                k -= 1
+            else:  # every smaller base suffix is affected
+                best = 0
+            # 2. The edited suffix t[a:], when it is smaller than x and shares
+            # more than ``best`` symbols with it.
+            if a != i and t[a : a + best + 1] == x[: best + 1]:
+                l = _lce(t, a, x, 0)
+                if a + l == n or (i + l < n and t[a + l] < x[l]):
+                    best = l
+            # 3. Each affected head t[j:] == x[:m] + t[a:], m = a - j, smaller
+            # than x when t[a:] is smaller than x[m:].  Its m cannot exceed
+            # ``reach``; the m in [ell, 2 ell) start with an occurrence of x[:ell].
+            top = min(reach, n - i)
+            ell = 1
+            while ell <= top:
+                pat = x[:ell]
+                j = u.find(pat, a - min(2 * ell - 1, top), a)
+                while j >= 0:
+                    m = a - j
+                    d = best - m + 1  # t[a:] must share d symbols with x[m:] to do better
+                    if (
+                        j != i
+                        and u[j + ell : a] == x[ell:m]
+                        and (d <= 0 or t[a : a + d] == x[m : m + d])
+                    ):
+                        l = _lce(t, a, x, m)
+                        if a + l == n or (i + m + l < n and t[a + l] < x[m + l]):
+                            best = m + l
+                    j = u.find(pat, j + 1, a)
+                ell *= 2
+            v += 1
+            i += best or 1
+        return v
+
+
+def _reach(t: str, a: int) -> int:
+    """Length of the longest suffix of ``t[:a]`` that also occurs in ``t`` at another start.
+
+    Such lengths are closed downwards, so the answer is found by galloping
+    and then binary search, each step one or two ``str.find`` scans.
+    """
+
+    def elsewhere(length: int) -> bool:
+        s = t[a - length : a]
+        f = t.find(s)
+        return f != a - length or t.find(s, f + 1) >= 0
+
+    lo, hi = 0, 1
+    while hi <= a and elsewhere(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, a + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if elsewhere(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _lce(s: str, i: int, t: str, j: int) -> int:
+    """Length of the longest common prefix of ``s[i:]`` and ``t[j:]``, by galloping
+    and then binary search over slice comparisons."""
+    end = min(len(s) - i, len(t) - j)
+    lo, step = 0, 8
+    while lo < end:
+        hi = min(lo + step, end)
+        if s[i + lo : i + hi] != t[j + lo : j + hi]:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if s[i + lo : i + mid] == t[j + lo : j + mid]:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+        lo, step = hi, 2 * step
+    return lo
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 
 import itertools
 
+from lexparse.parse import v_count
+from lexparse.textops import edit_candidates
+
 
 def all_binary_strings(min_len, max_len):
     """Every string over {a, b} with length in [min_len, max_len], shortest first."""
@@ -20,3 +23,9 @@ def assert_lcp_matches_direct_scans(sa):
     assert sa.lcp[0] == 0
     for r in range(2, sa.n + 1):
         assert sa.lcp[r - 1] == sa.lcp_between(sa.sa[r - 2], sa.sa[r - 1]), r
+
+
+def edit_scan_oracle(text, kind, ordering):
+    """Each candidate's phrase count from a suffix array of its own: the
+    independent oracle of the edit scans, which build only the base text's."""
+    return [v_count(c.text, ordering) for c in edit_candidates(text, kind, ordering)]

@@ -123,6 +123,11 @@ def test_scan_edit_requires_kind(capsys):
 def test_scan_edit_del_single_symbol(capsys):
     code, _, err = run_cli(capsys, "scan", "edit", "--text", "a", "--kind", "del")
     assert code == 2
+    # a one-symbol ordering leaves a substitution scan no candidates
+    for order in ([], ["--order", "a"]):
+        code, out, err = run_cli(capsys, "scan", "edit", "--text", "aaa", "--kind", "sub", *order)
+        assert (code, out) == (2, ""), order
+        assert err.startswith("error: substitution scan needs") and err.count("\n") == 1, err
 
 
 def test_scan_ao_fib13(capsys):
@@ -285,6 +290,22 @@ def test_decode_honours_max_n(capsys, monkeypatch, tmp_path):
     assert run_cli(capsys, "decode", "--file", str(path)) == (0, "a" * 10 + "\n", "")
 
 
+def test_decode_refuses_a_declared_n_over_the_cap_before_any_record(capsys, tmp_path):
+    # 2,000,000 records (8 MB) behind a header of 10^9 symbols, under the default cap
+    path = tmp_path / "payload"
+    for payload in (
+        b"LEXPARSE 1000000000 a\n" + b"E a\n" * 2_000_000,
+        b'{"n":1000000000,"ordering":"a","phrases":[' + b'["E","a"],' * 200_000 + b'["E","a"]]}',
+    ):
+        path.write_bytes(payload)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "decode", "--file", str(path))
+        assert time.perf_counter() - start < 1.0, payload[:30]
+        assert (code, out) == (2, ""), payload[:30]
+        assert err.startswith("error: cannot decode parse: it declares 1000000000 symbols"), err
+        assert err.count("\n") == 1, err
+
+
 def test_decode_stops_at_the_first_record_past_n(capsys, monkeypatch, tmp_path):
     path = tmp_path / "payload"
     for payload in (
@@ -401,6 +422,14 @@ def test_verify_honours_max_n(capsys, monkeypatch):
     monkeypatch.delenv("LEXPARSE_MAX_N")
     code, out, err = run_cli(capsys, "verify", "--k", "6..6")
     assert code == 0 and "OK:" in out and err == ""
+
+
+def test_out_refuses_symbols_above_latin1_without_creating_the_file(capsys, tmp_path):
+    path = tmp_path / "f"
+    code, out, err = run_cli(capsys, "gen", "--text", "\u0100b", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {path}: symbol '\u0100' is above U+00FF\n"
+    assert not path.exists()
 
 
 def test_out_writes_file(capsys, tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_text
+from conftest import edit_scan_oracle, random_text
 from lexparse.alphabet import AlphabetOrdering
 from lexparse.fibwords import fib_length, fibonacci
 from lexparse.parse import lex_parse_naive, v_count
@@ -59,8 +59,24 @@ def test_deletion_scan_contains_shortened_witness():
 
 
 def test_deletion_needs_two_symbols():
-    with pytest.raises(ValueError):
-        edit_sensitivity_scan("a", "del")
+    for text, kind, ordering, message in (
+        ("a", "del", None, "length >= 2"),
+        # a substitution needs a second symbol to substitute
+        ("aaa", "sub", None, "two or more symbols, got 'a'"),
+        ("aaa", "sub", AlphabetOrdering.from_string("a"), "two or more symbols, got 'a'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            edit_sensitivity_scan(text, kind, ordering)
+
+
+@pytest.mark.parametrize("kind, spec", [("sub", "ab"), ("ins", "$ab"), ("del", "ab")])
+def test_scan_rows_match_per_candidate_rebuilds_on_fibonacci_words(kind, spec):
+    ordering = AlphabetOrdering.from_string(spec)
+    for k in (12, 13, 14):
+        F = fibonacci(k)
+        report = edit_sensitivity_scan(F, kind, ordering, keep_rows=True)
+        assert report.base_v == v_count(F, ordering)
+        assert [r.v for r in report.rows] == edit_scan_oracle(F, kind, ordering), k
 
 
 def test_insertion_alphabet_is_the_orderings():
