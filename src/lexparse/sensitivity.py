@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .alphabet import AlphabetOrdering, all_orderings
 from .fibwords import DEFAULT_MAX_N, edited_fib, fib_length, fibonacci
-from .parse import lex_parse, v_count
+from .parse import lex_parse
 from .suffixes import build_suffix_array
 from .textops import EditCandidate, edit_candidates, normalize_kind
 
@@ -261,10 +261,13 @@ class AOSensitivityReport:
 
 
 def ao_sensitivity_scan(text: str) -> AOSensitivityReport:
-    """Exhaustively parse ``text`` under every permutation of its symbol set.
+    """Count the phrases of ``text`` under every permutation of its symbol set.
 
-    Refuses texts with more than 8 distinct symbols, where factorial
-    enumeration stops being a desk-scale computation.
+    One suffix array is built, for the code-point ordering; each ordering's
+    count is then a walk over the ordering-free tree of
+    :class:`_OrderingFreeTree`, with no construction of its own.  Refuses
+    texts with more than 8 distinct symbols, where factorial enumeration
+    stops being a desk-scale computation.
     """
     symbols = AlphabetOrdering.for_text(text).symbols
     sigma = len(symbols)
@@ -274,12 +277,13 @@ def ao_sensitivity_scan(text: str) -> AOSensitivityReport:
             f"limited to {MAX_AO_SIGMA} ({sigma}! orderings would be infeasible). "
             "Reduce the alphabet or scan chosen orderings individually."
         )
+    tree = _OrderingFreeTree(text)
     per: dict[str, int] = {}
     argmax = argmin = ""
     max_v = -1
     min_v = None
     for ordering in all_orderings(symbols):
-        v = v_count(text, ordering)
+        v = tree.v(ordering)
         per[ordering.spec] = v
         if v > max_v:
             max_v, argmax = v, ordering.spec
@@ -294,6 +298,89 @@ def ao_sensitivity_scan(text: str) -> AOSensitivityReport:
         argmax=argmax,
         argmin=argmin,
     )
+
+
+class _OrderingFreeTree:
+    """Lex-parse phrase counts of one text under any ordering of its symbols.
+
+    The suffix tree's shape and string depths do not depend on the ordering;
+    only the order of each node's children does (Abouelhoda, Kurtz &
+    Ohlebusch, "Replacing suffix trees with enhanced suffix arrays", JDA
+    2004).  The tree is the LCP-interval tree of one suffix array and its
+    ``lcp``.  Node w has a string depth, a parent, and a bitmask of the first
+    symbols of its children (bit b for the b-th symbol in code-point order),
+    plus bit sigma when a suffix ends at w.  With no end marker, a suffix
+    that ends at w is a proper prefix of every other suffix below w.
+
+    Suffix x = text[i:] copies its longest common prefix with its
+    predecessor under the ordering.  That predecessor lies below the deepest
+    proper ancestor w of leaf i that holds a smaller suffix outside x's own
+    branch: one that ends at w (x does not end there), or one in a child
+    whose first symbol sorts before ``text[i + depth[w]]``.  The common
+    prefix is then ``depth[w]`` symbols long.  The root's mask has every bit
+    set, so a climb that meets no such node stops there with depth 0.
+    """
+
+    def __init__(self, text: str):
+        ordering = AlphabetOrdering.for_text(text)
+        self.index = {c: b for b, c in enumerate(ordering.symbols)}
+        self.s = s = ordering.key(text)
+        self.ends = ends = 1 << len(ordering.symbols)
+        built = build_suffix_array(text, ordering)
+        sa, lcp = built.sa, built.lcp
+        n = len(s)
+        depth, parent, mask = [0], [-1], [0]  # node 0 is the root
+        rep = [0]  # rep[w]: the start of some suffix below w
+
+        def new_node(d: int, below: int) -> int:
+            depth.append(d)
+            parent.append(-1)
+            mask.append(0)
+            rep.append(below)
+            return len(depth) - 1
+
+        stack = [0]  # the open nodes, deepest last
+        leaf = [0] * n  # leaf[i]: the deepest node above suffix i
+        for r in range(n):
+            i = sa[r] - 1
+            h = lcp[r + 1] if r + 1 < n else 0  # LCP with the next suffix
+            if h > depth[stack[-1]]:  # the top's depth is the LCP with the previous one
+                stack.append(new_node(h, i))
+            w = leaf[i] = stack[-1]
+            mask[w] |= ends if depth[w] == n - i else 1 << s[i + depth[w]]
+            while depth[stack[-1]] > h:  # close the nodes deeper than h
+                x = stack.pop()
+                if depth[stack[-1]] < h:
+                    stack.append(new_node(h, rep[x]))
+                w = parent[x] = stack[-1]
+                mask[w] |= 1 << s[rep[x] + depth[w]]
+        mask[0] = -1
+        # The climb from leaf i starts at leaf[i], or above it when suffix i ends there.
+        self.start = [w if depth[w] < n - i else parent[w] for i, w in enumerate(leaf)]
+        self.depth, self.parent, self.mask = depth, parent, mask
+
+    def v(self, ordering: AlphabetOrdering) -> int:
+        """Phrase count of the text under ``ordering``, a permutation of its symbols.
+
+        Costs sigma mask updates and one climb per phrase; nothing is sorted.
+        """
+        s, start, depth, parent, mask = self.s, self.start, self.depth, self.parent, self.mask
+        # below[b]: the symbols that sort before symbol b, and the end bit.
+        below = [0] * len(self.index)
+        seen = self.ends
+        for c in ordering.symbols:
+            b = self.index[c]
+            below[b] = seen
+            seen |= 1 << b
+        n = len(s)
+        v = i = 0
+        while i < n:
+            w = start[i]
+            while not mask[w] & below[s[i + depth[w]]]:
+                w = parent[w]
+            v += 1
+            i += depth[w] or 1
+        return v
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ SA-IS (linear time, by induced sorting) over the ranks shifted up by one,
 with a virtual sentinel 0 appended; a naive full sort is kept permanently
 as the test oracle.  The adjacent-rank LCP array is not part of
 construction: it is computed (Kasai) on first use of ``SuffixArray.lcp``;
-the edit scans read it, the lex-parse does not.  All positions and ranks
-in the public contract are 1-based.
+the edit scans and the ordering scan read it, the lex-parse does not.  All
+positions and ranks in the public contract are 1-based.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ class SuffixArray:
     ``array('i')``, 4 bytes an entry), and ``lcp[r-1]`` the
     longest-common-prefix length between the suffixes of rank r-1 and r
     (``lcp[0]`` is 0).  ``lcp`` is computed on first use and then kept;
-    :func:`lexparse.sensitivity.edit_sensitivity_scan` reads it,
+    :func:`lexparse.sensitivity.edit_sensitivity_scan` and
+    :func:`lexparse.sensitivity.ao_sensitivity_scan` read it,
     :func:`lexparse.parse.lex_parse` does not.
     """
 

@@ -1,8 +1,11 @@
 """Shared helpers for the test suite."""
 
 import itertools
+from fractions import Fraction
 
+from lexparse.alphabet import all_orderings
 from lexparse.parse import v_count
+from lexparse.sensitivity import AOSensitivityReport
 from lexparse.textops import edit_candidates
 
 
@@ -29,3 +32,18 @@ def edit_scan_oracle(text, kind, ordering):
     """Each candidate's phrase count from a suffix array of its own: the
     independent oracle of the edit scans, which build only the base text's."""
     return [v_count(c.text, ordering) for c in edit_candidates(text, kind, ordering)]
+
+
+def ao_scan_oracle(text):
+    """The ordering-scan report from a suffix array and a parse per ordering: the
+    independent oracle of the ordering scan, which builds one suffix array in all."""
+    per = {o.spec: v_count(text, o) for o in all_orderings(set(text))}
+    max_v, min_v = max(per.values()), min(per.values())
+    return AOSensitivityReport(
+        per_ordering=per,
+        max_v=max_v,
+        min_v=min_v,
+        ratio=Fraction(max_v, min_v),
+        argmax=next(k for k, v in per.items() if v == max_v),
+        argmin=next(k for k, v in per.items() if v == min_v),
+    )

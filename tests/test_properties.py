@@ -5,7 +5,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from conftest import assert_lcp_matches_direct_scans, edit_scan_oracle  # noqa: E402
+from conftest import (  # noqa: E402
+    ao_scan_oracle,
+    assert_lcp_matches_direct_scans,
+    edit_scan_oracle,
+)
 from lexparse.alphabet import MAX_ALPHABET, AlphabetOrdering  # noqa: E402
 from lexparse.parse import (  # noqa: E402
     decode,
@@ -15,7 +19,7 @@ from lexparse.parse import (  # noqa: E402
     to_lines,
     v_count,
 )
-from lexparse.sensitivity import edit_sensitivity_scan  # noqa: E402
+from lexparse.sensitivity import ao_sensitivity_scan, edit_sensitivity_scan  # noqa: E402
 from lexparse.suffixes import build_suffix_array, build_suffix_array_naive  # noqa: E402
 
 
@@ -106,31 +110,32 @@ def test_decode_inverts_parse(case):
     assert from_lines(to_lines(p)) == p
 
 
+def repetitive_text(used):
+    """A text of at most 40 symbols drawn by ``used``: random, a run of runs, or a
+    prefix of a power of a short word (with one symbol it is unary), so that
+    it meets long repeats."""
+    return st.one_of(
+        st.text(used, min_size=1, max_size=40),
+        st.lists(st.tuples(used, st.integers(1, 12)), min_size=1, max_size=8).map(
+            lambda runs: "".join(c * r for c, r in runs)[:40]
+        ),
+        st.tuples(st.text(used, min_size=1, max_size=4), st.integers(1, 40)).map(
+            lambda wk: (wk[0] * 40)[: wk[1]]
+        ),
+    )
+
+
 @st.composite
 def edit_scan_case(draw) -> tuple[str, str, AlphabetOrdering]:
-    """An edit kind, a text of at most 40 symbols over at most 4 symbols, and an
-    ordering of up to 8 symbols covering it (the rest widen the edit alphabet).
-
-    The text is random, a run of runs, or a prefix of a power of a short
-    word (with one symbol it is unary), so that edits meet long repeats.
-    """
+    """An edit kind, a :func:`repetitive_text` over at most 4 symbols, and an
+    ordering of up to 8 symbols covering it (the rest widen the edit alphabet)."""
     symbols = draw(
         st.lists(
             st.characters(min_codepoint=0, max_codepoint=255), min_size=1, max_size=8, unique=True
         )
     )
     used = st.sampled_from(symbols[: draw(st.integers(1, min(4, len(symbols))))])
-    text = draw(
-        st.one_of(
-            st.text(used, min_size=1, max_size=40),
-            st.lists(st.tuples(used, st.integers(1, 12)), min_size=1, max_size=8).map(
-                lambda runs: "".join(c * r for c, r in runs)[:40]
-            ),
-            st.tuples(st.text(used, min_size=1, max_size=4), st.integers(1, 40)).map(
-                lambda wk: (wk[0] * 40)[: wk[1]]
-            ),
-        )
-    )
+    text = draw(repetitive_text(used))
     kind = draw(st.sampled_from(("sub", "ins", "del")))
     hypothesis.assume(not (kind == "sub" and len(symbols) < 2))
     hypothesis.assume(not (kind == "del" and len(text) < 2))
@@ -144,3 +149,22 @@ def test_edit_scan_matches_per_candidate_rebuilds(case):
     report = edit_sensitivity_scan(text, kind, ordering, keep_rows=True)
     assert report.base_v == v_count(text, ordering)
     assert [r.v for r in report.rows] == edit_scan_oracle(text, kind, ordering)
+
+
+@st.composite
+def ao_scan_text(draw) -> str:
+    """A :func:`repetitive_text` over at most 5 symbols."""
+    symbols = draw(
+        st.lists(
+            st.characters(min_codepoint=0, max_codepoint=255), min_size=1, max_size=5, unique=True
+        )
+    )
+    return draw(repetitive_text(st.sampled_from(symbols)))
+
+
+@PROPERTY
+@hypothesis.given(ao_scan_text())
+def test_ao_scan_matches_per_ordering_rebuilds(text):
+    report, oracle = ao_sensitivity_scan(text), ao_scan_oracle(text)
+    assert report == oracle
+    assert list(report.per_ordering) == list(oracle.per_ordering)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import edit_scan_oracle, random_text
-from lexparse.alphabet import AlphabetOrdering
+from conftest import ao_scan_oracle, edit_scan_oracle, random_text
+from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.fibwords import fib_length, fibonacci
 from lexparse.parse import lex_parse_naive, v_count
 from lexparse.sensitivity import (
@@ -113,6 +113,35 @@ def test_ao_scan_unary():
     report = ao_sensitivity_scan("aaaa")
     assert report.per_ordering == {"a": 2}
     assert report.ratio == Fraction(1, 1)
+
+
+def _benchmark_shaped_text(seed, symbols, n):
+    """A random text that holds every symbol, drawn as the benchmark draws its ordering-scan input."""
+    rng = random.Random(seed)
+    head = list(symbols)
+    rng.shuffle(head)
+    return "".join(head) + "".join(rng.choices(symbols, k=n - len(head)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a", "aaaa", "ab", "ba", "abab", "aab", fibonacci(15)]
+    + [_benchmark_shaped_text(seed, "abcdef", 500) for seed in (1, 7)],
+    ids=["a", "aaaa", "ab", "ba", "abab", "aab", "fib15", "sigma6-seed1", "sigma6-seed7"],
+)
+def test_ao_scan_matches_per_ordering_rebuilds_on_fixed_texts(text):
+    report, oracle = ao_sensitivity_scan(text), ao_scan_oracle(text)
+    assert report == oracle
+    assert list(report.per_ordering) == list(oracle.per_ordering)
+
+
+def test_ao_scan_sigma8_sampled_orderings():
+    text = _benchmark_shaped_text(8, "abcdefgh", 300)
+    report = ao_sensitivity_scan(text)
+    orderings = list(all_orderings(set(text)))
+    assert list(report.per_ordering) == [o.spec for o in orderings]
+    for o in random.Random(8).sample(orderings, 50):
+        assert report.per_ordering[o.spec] == v_count(text, o), o.spec
 
 
 def test_ao_scan_refuses_wide_alphabets():
