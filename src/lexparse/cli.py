@@ -22,6 +22,7 @@ from .parse import (
     Explicit,
     _decimal,
     _declared_n,
+    _json_leading_ns,
     decode,
     from_dict,
     from_lines,
@@ -322,21 +323,26 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _refuse_over_cap(n: int | None, cap: int) -> None:
+    if n is not None and n > cap:
+        raise ValueError(
+            f"it declares {n} symbols, above the cap {cap} (raise LEXPARSE_MAX_N to allow it)"
+        )
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
     cap = _max_n()
     payload = _read(args.file)
     try:
+        # Refuse an oversized parse on its declared n, before reading any record;
+        # a JSON object's "n" ahead of "phrases" is read before they are decoded.
         if payload.lstrip().startswith("{"):
+            for n in _json_leading_ns(payload):
+                _refuse_over_cap(n, cap)
             serialized, read = json.loads(payload), from_dict
         else:
             serialized, read = payload, from_lines
-        # Refuse an oversized parse on its declared n, before reading any record.
-        n = _declared_n(serialized)
-        if n is not None and n > cap:
-            raise ValueError(
-                f"it declares {n} symbols, above the cap {cap} "
-                "(raise LEXPARSE_MAX_N to allow it)"
-            )
+        _refuse_over_cap(_declared_n(serialized), cap)
         text = decode(read(serialized))
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"cannot decode parse: {exc}") from None

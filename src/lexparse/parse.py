@@ -10,7 +10,9 @@ because every hop moves to a lexicographically smaller suffix.
 
 from __future__ import annotations
 
+import json
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -22,7 +24,7 @@ class MalformedParseError(ValueError):
     """A malformed serialization or phrase sequence (see :class:`LexParse`), or a reference cycle."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Explicit:
     """A length-1 phrase carrying its symbol literally; encoded as the pair (0, symbol)."""
 
@@ -33,7 +35,7 @@ class Explicit:
         return 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Copy:
     """A phrase of ``length`` >= 1 copied from the suffix starting at 1-based ``source``."""
 
@@ -198,17 +200,21 @@ def decode(parse: LexParse) -> str:
     Every copied position follows its source chain until it reaches an
     explicit symbol; chains are memoized.  A well-formed parse can still
     hold a reference cycle, and then :class:`MalformedParseError` is raised.
+    The working set is a list of symbols, 8 bytes a position (each symbol
+    is a shared one-character string), and the positions' copy sources in
+    an ``array('i')``, 4 bytes a position, freed before the symbols are
+    joined: about 16 bytes a symbol at the peak.
     """
     n = parse.n
     out: list[str | None] = [None] * (n + 1)
-    ref = [0] * (n + 1)
+    ref = array("i", bytes(4 * (n + 1)))
     pos = 1
     for ph in parse.phrases:
         if isinstance(ph, Explicit):
             out[pos] = ph.symbol
             pos += 1
         else:
-            ref[pos : pos + ph.length] = range(ph.source, ph.source + ph.length)
+            ref[pos : pos + ph.length] = array("i", range(ph.source, ph.source + ph.length))
             pos += ph.length
     for p in range(1, n + 1):
         if out[p] is not None:
@@ -225,7 +231,9 @@ def decode(parse: LexParse) -> str:
             raise MalformedParseError(f"reference cycle through position {q}")
         for x in chain:
             out[x] = c
-    return "".join(out[1:])  # type: ignore[arg-type]
+    del ref
+    out[0] = ""  # no text position: joining ``out`` whole spares a copy of ``out[1:]``
+    return "".join(out)  # type: ignore[arg-type]
 
 
 # --- serialization ---------------------------------------------------------
@@ -314,6 +322,39 @@ def _declared_n(serialized: str | dict) -> int | None:
         return _decimal(_header(serialized)[0].split()[1])
     except ValueError:
         return None
+
+
+# JSON's insignificant whitespace, as json.loads skips it.
+_JSON_SPACE = re.compile("[ \t\n\r]*")
+
+
+def _json_leading_ns(payload: str) -> Iterator[int]:
+    """The plain-number ``"n"`` members of a JSON object ahead of its
+    ``"phrases"`` member, in order, each value decoded on its own, so that
+    the records are not decoded.  :func:`to_dict` writes ``"n"`` there.  The
+    scan ends quietly at ``"phrases"``, at the object's end or at a fault,
+    which :func:`json.loads` then reports."""
+    decoder = json.JSONDecoder()
+    i = _JSON_SPACE.match(payload).end()
+    if not payload.startswith("{", i):
+        return
+    while True:
+        i = _JSON_SPACE.match(payload, i + 1).end()  # past the "{" or the ","
+        if not payload.startswith('"', i):
+            return
+        try:
+            key, i = decoder.raw_decode(payload, i)
+            i = _JSON_SPACE.match(payload, i).end()
+            if key == "phrases" or not payload.startswith(":", i):
+                return
+            value, i = decoder.raw_decode(payload, _JSON_SPACE.match(payload, i + 1).end())
+        except ValueError:
+            return
+        if key == "n" and type(value) is int:
+            yield value
+        i = _JSON_SPACE.match(payload, i).end()
+        if not payload.startswith(",", i):
+            return
 
 
 def from_lines(serialized: str) -> LexParse:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import gt
 
 from .alphabet import AlphabetOrdering
 
@@ -121,9 +122,14 @@ def _sais(s: list[int], k: int) -> list[int]:
     """0-based suffix array of ``s`` by SA-IS (Nong, Zhang & Chan, DCC 2009).
 
     ``s`` ends with its only 0; its other symbols lie in ``1..k-1``.  The
-    working arrays stay Python lists: ``array('i')`` would save memory, but
-    it makes the induce passes, most of the time, about 1.4-1.6x slower on
-    the few-hundred-symbol texts that scans build by the thousand.
+    induce passes write into Python lists, about 40 bytes a slot with the
+    int object it holds; ``array('i')`` would take 4, but it made builds of
+    Fibonacci words (``fib:27``, and the edited words ``verify`` builds)
+    5-20% slower.  What lives beside those lists is kept small: the LMS
+    positions are an ``array('i')``, the first pass's list is cut to its
+    LMS positions before ``name`` is allocated, and ``name`` and the
+    recursion's order are freed before the final pass.  The peak, one
+    pass's list over ``s``, is about 55 bytes a symbol.
     """
     n = len(s)
     # stype[i] is 1 when suffix i is S-type (smaller than suffix i+1), 0 when L-type.
@@ -137,8 +143,11 @@ def _sais(s: list[int], k: int) -> list[int]:
         else:
             next_s = 0
         next_c = c
-    # LMS positions: S-type with an L-type left neighbour; the sentinel is the last.
-    lms = [i for i in range(1, n) if stype[i] and not stype[i - 1]]
+    # LMS positions: S-type with an L-type left neighbour (stype[i] > stype[i - 1]);
+    # the sentinel is the last.
+    is_lms = bytearray(1)
+    is_lms += bytes(map(gt, stype[1:], stype))
+    lms = array("i", compress(range(n), is_lms))
     counts = [0] * k
     for c in s:
         counts[c] += 1
@@ -146,39 +155,37 @@ def _sais(s: list[int], k: int) -> list[int]:
     heads = [t - c for t, c in zip(tails, counts)]
     del counts
 
-    # Sort the LMS substrings by one induce pass, then name them by rank; a
-    # substring reaches up to and including the next LMS position.
-    sa = _induce(s, stype, lms, heads, tails)
+    # Sort the LMS substrings by one induce pass and keep only the LMS
+    # positions of it, then name them by rank; a substring reaches up to and
+    # including the next LMS position.
+    sa = [p for p in _induce(s, stype, lms, heads, tails) if is_lms[p]]
+    del is_lms
     name = [0] * n  # substring end while naming, then the name
     for a, b in zip(lms, lms[1:]):
         name[a] = b + 1
     name[n - 1] = n
-    is_lms = bytearray(n)
-    for p in lms:
-        is_lms[p] = 1
     last, prev = -1, None
     for p in sa:
-        if is_lms[p]:
-            sub = s[p : name[p]]
-            if sub != prev:
-                last += 1
-                prev = sub
-            name[p] = last
-    del sa, is_lms, prev
-    reduced = [name[p] for p in lms]
-    del name
-    if last + 1 == len(lms):  # all names distinct: the names are the order
-        order = [0] * len(lms)
-        for i, c in enumerate(reduced):
-            order[c] = i
+        sub = s[p : name[p]]
+        if sub != prev:
+            last += 1
+            prev = sub
+        name[p] = last
+    if last + 1 == len(lms):  # all names distinct: sa already holds the LMS suffix order
+        lms = array("i", sa)
+        del sa, name
     else:
+        reduced = [name[p] for p in lms]
+        del sa, name
         order = _sais(reduced, last + 1)
-    del reduced
-    return _induce(s, stype, [lms[i] for i in order], heads, tails)
+        del reduced
+        lms = array("i", [lms[i] for i in order])
+        del order
+    return _induce(s, stype, lms, heads, tails)
 
 
 def _induce(
-    s: list[int], stype: bytearray, lms: list[int], heads: list[int], tails: list[int]
+    s: list[int], stype: bytearray, lms: array, heads: list[int], tails: list[int]
 ) -> list[int]:
     """Place ``lms`` at their bucket ends in the given order, then induce the
     L-type suffixes left to right and the S-type suffixes right to left.

@@ -291,17 +291,41 @@ def test_decode_honours_max_n(capsys, monkeypatch, tmp_path):
 
 
 def test_decode_refuses_a_declared_n_over_the_cap_before_any_record(capsys, tmp_path):
-    # 2,000,000 records (8 MB) behind a header of 10^9 symbols, under the default cap
+    # 2,000,000 records (8 MB) behind a header of 10^9 symbols, under the default cap;
+    # the JSON object's "n" is read ahead of its records, so 2,000,000 of them (20 MB)
+    # are not decoded either
     path = tmp_path / "payload"
-    for payload in (
-        b"LEXPARSE 1000000000 a\n" + b"E a\n" * 2_000_000,
-        b'{"n":1000000000,"ordering":"a","phrases":[' + b'["E","a"],' * 200_000 + b'["E","a"]]}',
+    for payload, seconds in (
+        (b"LEXPARSE 1000000000 a\n" + b"E a\n" * 2_000_000, 1.0),
+        (b'{"n":1000000000,"ordering":"a","phrases":[' + b'["E","a"],' * 200_000
+         + b'["E","a"]]}', 1.0),
+        (b'{"n":1000000000,"ordering":"a","phrases":[' + b'["E","a"],' * 1_999_999
+         + b'["E","a"]]}', 0.3),
     ):
         path.write_bytes(payload)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "decode", "--file", str(path))
-        assert time.perf_counter() - start < 1.0, payload[:30]
+        assert time.perf_counter() - start < seconds, payload[:30]
         assert (code, out) == (2, ""), payload[:30]
+        assert err.startswith("error: cannot decode parse: it declares 1000000000 symbols"), err
+        assert err.count("\n") == 1, err
+
+
+def test_decode_judges_a_repeated_json_n_by_its_first_over_the_cap(capsys, tmp_path):
+    # json.loads keeps the last of repeated members, but an over-cap "n" ahead of
+    # "phrases" is refused before the object is decoded, whichever "n" it is; an
+    # "n" after "phrases" is read from the decoded object, as before
+    path = tmp_path / "payload"
+    records = '"phrases":[["E","a"],["E","a"]]'
+    for payload in (
+        f'{{"n":1000000000,"ordering":"a","n":2,{records}}}',
+        f'{{"n":2,"ordering":"a","n":1000000000,{records}}}',
+        f'{{"n":1000000000,"ordering":"a",{records},"n":2}}',
+        f'{{"ordering":"a",{records},"n":1000000000}}',
+    ):
+        path.write_text(payload)
+        code, out, err = run_cli(capsys, "decode", "--file", str(path))
+        assert (code, out) == (2, ""), payload
         assert err.startswith("error: cannot decode parse: it declares 1000000000 symbols"), err
         assert err.count("\n") == 1, err
 

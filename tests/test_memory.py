@@ -1,0 +1,60 @@
+"""Peak traced memory of suffix-array construction and decoding, per symbol.
+
+``tracemalloc`` counts every allocation the interpreter makes, so these
+figures repeat exactly from run to run.  The limits sit above what the
+current code reaches (noted per test) and below what it reached before its
+working set was trimmed (``build_suffix_array`` 80-88 and ``decode`` 57
+bytes a symbol).
+"""
+
+import gc
+import random
+import tracemalloc
+
+from lexparse.fibwords import fibonacci
+from lexparse.parse import Copy, Explicit, decode, lex_parse
+from lexparse.suffixes import build_suffix_array
+
+
+def peak_bytes_per_symbol(n, fn, *args):
+    """Peak of the memory traced while ``fn(*args)`` runs, above what was
+    traced before, divided by ``n``."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / n
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def acgt(n):
+    rng = random.Random(20000)
+    return "".join(rng.choice("acgt") for _ in range(n))
+
+
+def test_suffix_array_peak_on_a_random_text():
+    text = acgt(20_000)
+    assert peak_bytes_per_symbol(len(text), build_suffix_array, text) <= 60  # 53.9
+
+
+def test_suffix_array_peak_on_a_fibonacci_word():
+    # the Fibonacci word has more LMS positions than a random text, and recurses
+    text = fibonacci(22)
+    assert len(text) == 17_711
+    assert peak_bytes_per_symbol(len(text), build_suffix_array, text) <= 60  # 55.2
+
+
+def test_decode_peak():
+    text = acgt(20_000)
+    parse = lex_parse(text)
+    assert peak_bytes_per_symbol(len(text), decode, parse) <= 20  # 16.3
+
+
+def test_phrases_carry_no_instance_dictionary():
+    for phrase in (Explicit("a"), Copy(3, 1)):
+        assert not hasattr(phrase, "__dict__"), phrase

@@ -118,6 +118,19 @@ def test_sais_matches_naive_on_fibonacci_words():
             assert_matches_naive(edited_fib(2 * k), ordering)
 
 
+def test_sais_matches_naive_over_all_256_byte_values():
+    # the top level's symbols span their whole range, 1..256 over the sentinel 0,
+    # with long runs of single symbols at both ends of the range and in between
+    rng = random.Random(256)
+    values = [chr(c) for c in range(256)]
+    rng.shuffle(values)
+    runs = "".join(c * rng.randint(50, 200) for c in ("\x00", "\xff", values[0], "\x80"))
+    w = "".join(values) + runs + "".join(reversed(values)) + "\x00\xff" * 40 + "\xff" * 120
+    forward = AlphabetOrdering(tuple(chr(c) for c in range(256)))
+    assert_matches_naive(w)  # the default ordering is code-point order: forward
+    assert_matches_naive(w, AlphabetOrdering(forward.symbols[::-1]))
+
+
 def test_ordering_absorbed_by_renaming():
     rng = random.Random(7)
     for _ in range(60):
