@@ -36,6 +36,28 @@ class LyndonFactorization:
             pos += len(lam) * p
         return out
 
+    def significant_suffixes(self) -> list[int]:
+        """Start positions of the significant suffixes of the factorized word, ascending.
+
+        A suffix that starts at a factor block is significant when every
+        block tail after it is a prefix of the block it follows.  The last
+        block is always significant (the condition is vacuous), so for a
+        single-factor word the whole string qualifies.
+        """
+        blocks = [lam * p for lam, p in self.factors]
+        starts = self.factor_starts()
+        m = len(blocks)
+        out = [starts[m - 1]]
+        tail = blocks[m - 1]
+        # Walk blocks right to left; the significant indices form a suffix of 1..m.
+        for j in range(m - 2, -1, -1):
+            if not blocks[j].startswith(tail):
+                break
+            out.append(starts[j])
+            tail = blocks[j] + tail
+        out.reverse()
+        return out
+
 
 def lyndon_factorize(w: str, ordering: AlphabetOrdering | None = None) -> LyndonFactorization:
     """The unique decreasing factorization of ``w`` into Lyndon-word powers (Duval, linear)."""
@@ -66,24 +88,6 @@ def lyndon_factorize(w: str, ordering: AlphabetOrdering | None = None) -> Lyndon
 
 
 def significant_suffixes(w: str, ordering: AlphabetOrdering | None = None) -> list[int]:
-    """Start positions of the significant suffixes of ``w``, ascending.
-
-    A suffix that starts at a factor block of the Lyndon factorization is
-    significant when every block tail after it is a prefix of the block it
-    follows.  The last block is always significant (the condition is vacuous),
-    so for a single-factor word the whole string qualifies.
-    """
-    lf = lyndon_factorize(w, ordering)
-    blocks = [lam * p for lam, p in lf.factors]
-    starts = lf.factor_starts()
-    m = len(blocks)
-    out = [starts[m - 1]]
-    tail = blocks[m - 1]
-    # Walk blocks right to left; the significant indices form a suffix of 1..m.
-    for j in range(m - 2, -1, -1):
-        if not blocks[j].startswith(tail):
-            break
-        out.append(starts[j])
-        tail = blocks[j] + tail
-    out.reverse()
-    return out
+    """Start positions of the significant suffixes of ``w``, ascending
+    (see :meth:`LyndonFactorization.significant_suffixes`)."""
+    return lyndon_factorize(w, ordering).significant_suffixes()

@@ -10,6 +10,7 @@ range and is reported without counting as a failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .alphabet import AlphabetOrdering
@@ -39,9 +40,9 @@ from .fibwords import (
     phi_power_a,
     phi_run,
 )
-from .lyndon import lyndon_factorize, significant_suffixes
+from .lyndon import lyndon_factorize
 from .parse import lex_parse, lz77_count, phrase_strings, v_count
-from .suffixes import build_suffix_array
+from .suffixes import SuffixArray, build_suffix_array
 from .textops import is_primitive, longest_border, occurrences
 
 ORD_AB = AlphabetOrdering.from_string("ab")
@@ -103,11 +104,30 @@ def _mismatch(got, expected) -> str:
     return f"expected {_preview(expected)} got {_preview(got)}"
 
 
+class _Words:
+    """What more than one group reads at index ``k``, each built on first use.
+
+    The ``suffixes`` and ``edited`` groups both read the edited word and its
+    suffix array under ``ab``.  Words and arrays that only one group reads stay
+    local to that group, so they are freed when it returns.
+    :func:`run_verification` makes one holder per k and drops it when k moves
+    on, so peak memory stays that of one k.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+
+    @cached_property
+    def edited_sa(self) -> SuffixArray:
+        return build_suffix_array(edited_fib(2 * self.k), ORD_AB)
+
+
 # --- group: fib (elementary combinatorics) ---------------------------------
 
 
-def verify_fib_combinatorics(k: int) -> list[CheckResult]:
+def verify_fib_combinatorics(words: _Words) -> list[CheckResult]:
     """Border, occurrence, forbidden-factor and primitivity facts for the k-th word."""
+    k = words.k
     c = _Checker("fib", k)
     F = fibonacci(k)
     c.eq("length", len(F), fib_length(k))
@@ -135,8 +155,9 @@ def verify_fib_combinatorics(k: int) -> list[CheckResult]:
 # --- group: lyndon ----------------------------------------------------------
 
 
-def verify_lyndon(k: int) -> list[CheckResult]:
+def verify_lyndon(words: _Words) -> list[CheckResult]:
     """Closed-form Lyndon structure of the (2k)-th word and its shortenings."""
+    k = words.k
     c = _Checker("lyndon", k)
     F2k = fibonacci(2 * k)
     lf_full = lyndon_factorize(F2k, ORD_AB)
@@ -160,7 +181,7 @@ def verify_lyndon(k: int) -> list[CheckResult]:
         "morphism run is not a prefix of the next image",
     )
     c.eq("run_length", len(phi_run(k)), fib_length(2 * k + 3) - 1)
-    sig = significant_suffixes(Fpp, ORD_AB)
+    sig = lf.significant_suffixes()
     npp = len(Fpp)
     expected_starts = [npp - (fib_length(2 * i + 1) - 1) + 1 for i in range(k - 1, 0, -1)]
     c.eq("significant_starts", sig, expected_starts)
@@ -176,11 +197,11 @@ def verify_lyndon(k: int) -> list[CheckResult]:
 # --- group: suffixes --------------------------------------------------------
 
 
-def verify_suffix_structs(k: int) -> list[CheckResult]:
+def verify_suffix_structs(words: _Words) -> list[CheckResult]:
     """Closed-form suffix-array prefix and maximal suffix of the edited word."""
+    k = words.k
     c = _Checker("suffixes", k)
-    T = edited_fib(2 * k)
-    sa = build_suffix_array(T, ORD_AB)
+    sa = words.edited_sa
     prefix = [sa.suffix_start(r) for r in range(1, k + 2)]
     c.eq("sa_prefix", prefix, edited_sa_prefix(k))
     if k >= 3:
@@ -191,12 +212,13 @@ def verify_suffix_structs(k: int) -> list[CheckResult]:
 # --- group: edited (single-edit witness parses) -----------------------------
 
 
-def verify_edited_word(k: int) -> list[CheckResult]:
+def verify_edited_word(words: _Words) -> list[CheckResult]:
     """Parse structure of the three single-edit witnesses built from the (2k)-th word."""
+    k = words.k
     c = _Checker("edited", k)
-    T = edited_fib(2 * k)
-    n = len(T)
-    sa = build_suffix_array(T, ORD_AB)
+    sa = words.edited_sa
+    T = sa.text
+    n = sa.n
     parse = lex_parse(T, sa=sa)
     c.eq("sub_phrase_count", parse.v, 2 * k - 2)
     lengths = edited_parse_lengths(k)
@@ -258,8 +280,9 @@ def verify_edited_word(k: int) -> list[CheckResult]:
 # --- group: orderings (parse structure of the plain words) ------------------
 
 
-def verify_fib_orderings(k: int) -> list[CheckResult]:
+def verify_fib_orderings(words: _Words) -> list[CheckResult]:
     """Four-case phrase counts and displayed parses of the k-th word under both orders."""
+    k = words.k
     c = _Checker("orderings", k)
     F = fibonacci(k)
     sa_ab = build_suffix_array(F, ORD_AB)
@@ -289,13 +312,14 @@ def verify_fib_orderings(k: int) -> list[CheckResult]:
 # --- group: lz --------------------------------------------------------------
 
 
-def verify_lz(k: int) -> list[CheckResult]:
+def verify_lz(words: _Words) -> list[CheckResult]:
     """Greedy LZ77 factor count of the k-th word grows linearly: exactly k-1.
 
     (Under this package's index base, where the first two words are "b" and
     "a"; literature that starts the family at "a", "ab" states the same fact
     as k factors for the k-th word.)
     """
+    k = words.k
     c = _Checker("lz", k)
     c.eq("factor_count", lz77_count(fibonacci(k)), k - 1)
     return c.results
@@ -307,7 +331,7 @@ def verify_lz(k: int) -> list[CheckResult]:
 @dataclass(frozen=True)
 class Group:
     name: str
-    func: Callable[[int], list[CheckResult]]
+    func: Callable[[_Words], list[CheckResult]]
     min_defined: int  # smallest k the checks can be computed at
     min_asserted: int  # smallest k the claims are stated for
 
@@ -331,13 +355,15 @@ def run_verification(
 
     Indices below a group's stated range but still computable produce
     informational results; indices below the computable range are skipped
-    with a note.
+    with a note.  The groups of one k share one :class:`_Words`, so each
+    (word, ordering) pair is built once per k.
     """
     groups = [g for g in GROUPS if only is None or g.name == only]
     if only is not None and not groups:
         raise ValueError(f"unknown group {only!r}; expected one of {GROUP_NAMES}")
     results: list[CheckResult] = []
     for k in k_values:
+        words = _Words(k)
         for g in groups:
             if k < g.min_defined:
                 results.append(
@@ -345,7 +371,7 @@ def run_verification(
                                 detail=f"not defined below k={g.min_defined}")
                 )
                 continue
-            res = g.func(k)
+            res = g.func(words)
             if k < g.min_asserted:
                 res = [replace(r, asserted=False) for r in res]
             results.extend(res)

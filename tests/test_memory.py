@@ -1,4 +1,4 @@
-"""Peak traced memory of suffix-array construction and decoding, per symbol.
+"""Peak traced memory of suffix-array construction, decoding and verification, per symbol.
 
 ``tracemalloc`` counts every allocation the interpreter makes, so these
 figures repeat exactly from run to run.  The limits sit above what the
@@ -11,9 +11,10 @@ import gc
 import random
 import tracemalloc
 
-from lexparse.fibwords import fibonacci
+from lexparse.fibwords import fib_length, fibonacci
 from lexparse.parse import Copy, Explicit, decode, lex_parse
 from lexparse.suffixes import build_suffix_array
+from lexparse.verify import run_verification
 
 
 def peak_bytes_per_symbol(n, fn, *args):
@@ -53,6 +54,16 @@ def test_decode_peak():
     text = acgt(20_000)
     parse = lex_parse(text)
     assert peak_bytes_per_symbol(len(text), decode, parse) <= 20  # 16.3
+
+
+def test_verify_peak():
+    # k = 10 builds its largest suffix array on f(20) = 6,765 symbols.  The
+    # groups share only the edited word's array; 71.3 here and 71.5 when
+    # every group built its own.  Also keeping the one-group array of
+    # F_20[:-2] until k moves on reached 80.7.
+    n = fib_length(20)
+    assert n == 6_765
+    assert peak_bytes_per_symbol(n, run_verification, [10]) <= 76
 
 
 def test_phrases_carry_no_instance_dictionary():

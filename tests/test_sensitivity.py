@@ -79,6 +79,22 @@ def test_scan_rows_match_per_candidate_rebuilds_on_fibonacci_words(kind, spec):
         assert [r.v for r in report.rows] == edit_scan_oracle(F, kind, ordering), k
 
 
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_exhaustive_scans_reach_the_witness_counts(k):
+    # the paper's lower-bound witnesses: no single edit of F_2k beats them
+    F = fibonacci(2 * k)
+    n = len(F)
+    for kind, spec, max_v, witness_at in (
+        ("sub", "ab", 2 * k - 2, n - 8),
+        ("del", "ab", 2 * k - 2, n - 8),
+        ("ins", "$ab", 2 * k, n - 7),
+    ):
+        report = edit_sensitivity_scan(F, kind, AlphabetOrdering.from_string(spec))
+        assert report.max_v == max_v, kind
+        if k >= 7:
+            assert report.witness.position == witness_at, kind
+
+
 def test_insertion_alphabet_is_the_orderings():
     # a sentinel ranked below everything widens the insertion alphabet and
     # unlocks strictly worse candidates than the plain alphabet allows

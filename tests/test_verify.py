@@ -1,12 +1,32 @@
 import pytest
 
+import lexparse.parse
+import lexparse.verify
+from lexparse.fibwords import edited_fib
 from lexparse.verify import (
     CheckResult,
     GROUP_NAMES,
+    GROUPS,
     _Checker,
     all_passed,
     run_verification,
 )
+
+
+def record_builds(monkeypatch):
+    """List the (text, ordering) of every suffix array that ``verify`` builds,
+    itself or through ``lex_parse`` and ``v_count``."""
+    builds = []
+    build = lexparse.verify.build_suffix_array
+
+    def recorded(*args, **kwargs):
+        sa = build(*args, **kwargs)
+        builds.append((sa.text, sa.ordering.spec))
+        return sa
+
+    for module in (lexparse.verify, lexparse.parse):
+        monkeypatch.setattr(module, "build_suffix_array", recorded)
+    return builds
 
 
 def test_all_groups_pass_in_stated_range():
@@ -31,6 +51,37 @@ def test_each_group_runs_alone():
         assert results
         assert all(r.group == name for r in results)
         assert all_passed(results)
+
+
+def test_each_word_and_ordering_is_built_once(monkeypatch):
+    builds = record_builds(monkeypatch)
+    assert all_passed(run_verification(range(6, 14)))
+    # per k: F_2k[:-2], the edited word, its deletion and sentinel variants, F_k twice
+    assert len(builds) == 48
+    assert sum(len(text) for text, _ in builds) == 786_494
+    assert len(set(builds)) == len(builds)
+
+
+@pytest.mark.parametrize("only", ["suffixes", "edited"])
+def test_one_group_alone_builds_the_edited_word_once_per_k(monkeypatch, only):
+    builds = record_builds(monkeypatch)
+    ks = range(6, 10)
+    assert all_passed(run_verification(ks, only=only))
+    for k in ks:
+        assert builds.count((edited_fib(2 * k), "ab")) == 1, k
+
+
+def test_groups_report_alike_alone_and_together():
+    # k = 4 and 5 are informational for `edited` and skipped for `orderings`
+    ks = range(4, 10)
+    together = [r.line() for r in run_verification(ks)]
+    alone = [
+        r.line()
+        for k in ks
+        for g in GROUPS
+        for r in run_verification([k], only=g.name)
+    ]
+    assert together == alone
 
 
 def test_below_range_is_reported_not_asserted():
