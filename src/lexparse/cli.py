@@ -109,7 +109,7 @@ def _resolve_text(args: argparse.Namespace) -> str:
 
 
 def _resolve_ordering(args: argparse.Namespace, text: str) -> AlphabetOrdering:
-    order = AlphabetOrdering.from_string(args.order) if args.order else None
+    order = AlphabetOrdering.from_string(args.order) if args.order is not None else None
     return AlphabetOrdering.for_text(text, order)
 
 

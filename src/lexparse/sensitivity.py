@@ -61,6 +61,14 @@ def edit_sensitivity_scan(
     array is built, for ``text``; each neighbour is then counted by queries
     on it (see :class:`_EditedCounter`), at a cost that grows with its
     phrase count rather than with a construction of its own.
+
+    Distinct edits can give the same text, and each text is counted once.
+    Inserting c right after a c gives the text of inserting it one position
+    earlier, and deleting a symbol equal to its left neighbour gives the
+    text of deleting that neighbour; such a candidate reuses the count of
+    the earlier one.  An insertion scan thus counts (n+1)*sigma - n texts
+    and a deletion scan one per run of equal symbols, but every candidate
+    still gets its row.
     """
     kind = normalize_kind(kind)
     ordering = AlphabetOrdering.for_text(text, ordering)
@@ -75,8 +83,16 @@ def edit_sensitivity_scan(
     witness: EditCandidate | None = None
     rows: list[EditRow] | None = [] if keep_rows else None
     count = 0
+    last: dict[str | None, int] = {}  # new symbol (None: deletion) -> v of its latest candidate
     for cand in edit_candidates(text, kind, ordering):
-        v = counter.edited_v(cand)
+        p = cand.position - 1
+        if p > 0 and cand.old is None and text[p - 1] == cand.new:
+            v = last[cand.new]  # inserting c after a c: the insertion of c at p - 1
+        elif p > 0 and cand.new is None and text[p - 1] == text[p]:
+            v = last[None]  # deleting the second of two equal symbols: the deletion at p - 1
+        else:
+            v = counter.edited_v(cand)
+        last[cand.new] = v
         count += 1
         if rows is not None:
             rows.append(EditRow(cand.kind, cand.position, cand.old, cand.new, v))

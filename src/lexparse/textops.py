@@ -81,7 +81,8 @@ def edit_candidates(w: str, kind: str, alphabet: AlphabetOrdering) -> Iterator[E
 
     Enumeration order is deterministic: position-major, then replacement
     symbol in the order the alphabet lists them.  Distinct edits may yield
-    equal strings; deduplication is the caller's concern.
+    equal strings; :func:`lexparse.sensitivity.edit_sensitivity_scan` counts
+    each such string once.
     """
     kind = normalize_kind(kind)
     symbols = alphabet.symbols

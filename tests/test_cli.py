@@ -72,6 +72,15 @@ def test_parse_rejects_bad_ordering_spec(capsys):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("command", [["parse"], ["scan", "edit", "--kind", "ins"]])
+def test_empty_ordering_spec_is_refused(capsys, command):
+    # an empty --order is a malformed ordering, not a missing one
+    code, out, err = run_cli(capsys, *command, "--text", "ab", "--order", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: an ordering needs at least one symbol\n"
+
+
 def test_parse_file_binary_safe(capsys, tmp_path):
     path = tmp_path / "blob.bin"
     path.write_bytes(b"\x00\x01\x00\x01\x01\x00")

@@ -8,6 +8,7 @@ from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.fibwords import fib_length, fibonacci
 from lexparse.parse import lex_parse_naive, v_count
 from lexparse.sensitivity import (
+    _EditedCounter,
     ao_sensitivity_scan,
     edit_sensitivity_scan,
     sensitivity_growth_table,
@@ -79,7 +80,46 @@ def test_scan_rows_match_per_candidate_rebuilds_on_fibonacci_words(kind, spec):
         assert [r.v for r in report.rows] == edit_scan_oracle(F, kind, ordering), k
 
 
-@pytest.mark.parametrize("k", [6, 7, 8])
+@pytest.mark.parametrize(
+    "kind, spec, calls, candidates",
+    [
+        ("sub", "ab", 610, 610),
+        ("ins", "$ab", 1223, 1833),  # (n+1)*3 - n distinct texts
+        ("ins", "ab", 612, 1222),  # (n+1)*2 - n distinct texts
+        ("del", "ab", 466, 610),  # one text per run of equal symbols
+    ],
+)
+def test_scan_counts_each_distinct_text_once(monkeypatch, kind, spec, calls, candidates):
+    counted = []
+    edited_v = _EditedCounter.edited_v
+
+    def counting(self, cand):
+        counted.append(cand)
+        return edited_v(self, cand)
+
+    monkeypatch.setattr(_EditedCounter, "edited_v", counting)
+    F = fibonacci(15)
+    ordering = AlphabetOrdering.from_string(spec)
+    report = edit_sensitivity_scan(F, kind, ordering, keep_rows=True)
+    assert len(counted) == calls
+    assert report.candidates == len(report.rows) == candidates
+    distinct = {c.text for c in edit_candidates(F, kind, ordering)}
+    assert {c.text for c in counted} == distinct and len(distinct) == calls
+
+
+@pytest.mark.parametrize("text", ["aaaabbbaaab", "abbbbbbba", "aaaaaaaa", "abcccba"])
+def test_scan_rows_match_per_candidate_rebuilds_on_texts_with_runs(text):
+    # equal neighbours reuse an earlier count: next to the first symbol, at
+    # the end of the text and across run boundaries
+    own = AlphabetOrdering.for_text(text)
+    wide = AlphabetOrdering.from_string("$" + own.spec)
+    for kind, ordering in (("ins", own), ("ins", wide), ("del", own)):
+        report = edit_sensitivity_scan(text, kind, ordering, keep_rows=True)
+        assert [r.v for r in report.rows] == edit_scan_oracle(text, kind, ordering), (
+            kind, ordering.spec)
+
+
+@pytest.mark.parametrize("k", [6, 7, 8, 9])
 def test_exhaustive_scans_reach_the_witness_counts(k):
     # the paper's lower-bound witnesses: no single edit of F_2k beats them
     F = fibonacci(2 * k)
