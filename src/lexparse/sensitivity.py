@@ -8,6 +8,7 @@ candidate in enumeration order.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,11 +129,27 @@ class _EditedCounter:
     with ``x``), which compares with ``x`` as its base copy ``u[j:]`` does;
     an affected head, ``x[:a-j] + t[a:]``; or the edited suffix ``t[a:]``.
     :meth:`edited_v` takes the best of the three groups at each phrase start.
+
+    An affected head needs ``u[j:a]`` to occur at another start of ``t``, so
+    its ``m = a - j`` is at most the longest suffix of ``t[:a]`` that does.
+    ``left[a]``, built once per scan from a suffix array of the reversed
+    text, is that length for occurrences that do not touch the edit; each
+    candidate tops it up by finds in a window around the edit
+    (:func:`_reach_bound`), never by a scan of the whole text.
     """
 
     def __init__(self, text: str, ordering: AlphabetOrdering):
         self.table = {ord(c): chr(r) for r, c in enumerate(ordering.symbols)}
         self.u = u = text.translate(self.table)
+        # left[a]: the longest suffix of u[:a] that also ends elsewhere in u,
+        # the larger LCP of u[:a] reversed with its two rank neighbours among
+        # the suffixes of the reversed text.  Built, and its suffix array
+        # dropped, before the base array, so that the two are never held at once.
+        rev = build_suffix_array(text[::-1], ordering)
+        rlcp = rev.lcp + (0,)
+        self.left = array("i", [0])
+        self.left.extend(max(rlcp[r - 1], rlcp[r]) for r in reversed(rev.rank))
+        del rev, rlcp
         sa = build_suffix_array(text, ordering)
         self.sa = [p - 1 for p in sa.sa]  # 0-based start of the suffix of 0-based rank r
         self.rank = rank = [r - 1 for r in sa.rank]  # 0-based rank of the suffix at i
@@ -144,7 +161,14 @@ class _EditedCounter:
         self.base_v = v
 
     def edited_v(self, cand: EditCandidate) -> int:
-        """Phrase count of ``cand.text``, one of the base text's neighbours."""
+        """Phrase count of ``cand.text``, one of the base text's neighbours.
+
+        The affected heads are searched only at phrase starts where one can
+        beat the best of the other groups: where that best is below
+        ``n - i - 1``, and ``x[:best + 1]`` occurs at some start other than
+        i in ``[a - top, a)``, ``top`` the reach bound.  One or two finds
+        test that; the other phrases open no doubling window.
+        """
         u, sa, rank, lcp = self.u, self.sa, self.rank, self.lcp
         t = cand.text.translate(self.table)
         n = len(t)
@@ -156,7 +180,7 @@ class _EditedCounter:
         # u[a:] is the order of x and u[i:].
         c = _lce(t, a, u, a)
         edited_below = t[a:] < u[a:]
-        reach = _reach(t, a)
+        reach = _reach_bound(t, a, self.left[a])
         v = i = 0
         while i < n:
             x = t[i:]
@@ -197,7 +221,18 @@ class _EditedCounter:
             # 3. Each affected head t[j:] == x[:m] + t[a:], m = a - j, smaller
             # than x when t[a:] is smaller than x[m:].  Its m cannot exceed
             # ``reach``; the m in [ell, 2 ell) start with an occurrence of x[:ell].
-            top = min(reach, n - i)
+            # A head does better than ``best`` only if x[:best + 1] occurs at
+            # its start, so one find over the starts a - top .. a - 1 (other
+            # than i) rules out most phrases before any window is opened.  No
+            # smaller suffix shares all of x, so best = n - i - 1 cannot grow.
+            top = min(reach, n - i) if best < n - i - 1 else 0
+            if top:
+                pat = x[: best + 1]
+                j = t.find(pat, a - top, a + best)
+                if j == i:
+                    j = t.find(pat, i + 1, a + best)
+                if j < 0:
+                    top = 0
             ell = 1
             while ell <= top:
                 pat = x[:ell]
@@ -220,25 +255,28 @@ class _EditedCounter:
         return v
 
 
-def _reach(t: str, a: int) -> int:
-    """Length of the longest suffix of ``t[:a]`` that also occurs in ``t`` at another start.
+def _reach_bound(t: str, a: int, left: int) -> int:
+    """An upper bound on the longest suffix of ``t[:a]`` that also occurs in ``t`` at another start.
 
-    Such lengths are closed downwards, so the answer is found by galloping
-    and then binary search, each step one or two ``str.find`` scans.
+    ``left`` is the longest suffix of ``t[:a]`` that ends elsewhere in the
+    base text.  An occurrence elsewhere in ``t`` that does not touch the
+    edit is one in the base text too; one that does starts in
+    ``[a - L + 1, a]`` for a length L, and a find in that window settles
+    it.  Every length up to the exact answer passes the test "at most
+    ``left``, or found in its window", so galloping from ``left`` and then
+    binary search stop at or above the exact answer.
     """
 
-    def elsewhere(length: int) -> bool:
-        s = t[a - length : a]
-        f = t.find(s)
-        return f != a - length or t.find(s, f + 1) >= 0
+    def passes(length: int) -> bool:
+        return t.find(t[a - length : a], a - length + 1, a + length) >= 0
 
-    lo, hi = 0, 1
-    while hi <= a and elsewhere(hi):
-        lo, hi = hi, 2 * hi
-    hi = min(hi, a + 1)
+    lo, step = left, 1
+    while lo + step <= a and passes(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = min(lo + step, a + 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if elsewhere(mid):
+        if passes(mid):
             lo = mid
         else:
             hi = mid

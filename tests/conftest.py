@@ -34,6 +34,30 @@ def edit_scan_oracle(text, kind, ordering):
     return [v_count(c.text, ordering) for c in edit_candidates(text, kind, ordering)]
 
 
+def exact_reach(t, a):
+    """Length of the longest suffix of ``t[:a]`` that also occurs in ``t`` at
+    another start, by whole-text finds: the oracle of the edit scans' reach
+    bound.  Such lengths are closed downwards, so galloping and then binary
+    search find it."""
+
+    def elsewhere(length):
+        s = t[a - length : a]
+        f = t.find(s)
+        return f != a - length or t.find(s, f + 1) >= 0
+
+    lo, hi = 0, 1
+    while hi <= a and elsewhere(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, a + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if elsewhere(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def ao_scan_oracle(text):
     """The ordering-scan report from a suffix array and a parse per ordering: the
     independent oracle of the ordering scan, which builds one suffix array in all."""

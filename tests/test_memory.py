@@ -1,4 +1,4 @@
-"""Peak traced memory of suffix-array construction, decoding and verification, per symbol.
+"""Peak traced memory of suffix-array construction, decoding, edit scans and verification, per symbol.
 
 ``tracemalloc`` counts every allocation the interpreter makes, so these
 figures repeat exactly from run to run.  The limits sit above what the
@@ -11,8 +11,10 @@ import gc
 import random
 import tracemalloc
 
+from lexparse.alphabet import AlphabetOrdering
 from lexparse.fibwords import fib_length, fibonacci
 from lexparse.parse import Copy, Explicit, decode, lex_parse
+from lexparse.sensitivity import edit_sensitivity_scan
 from lexparse.suffixes import build_suffix_array
 from lexparse.verify import run_verification
 
@@ -54,6 +56,16 @@ def test_decode_peak():
     text = acgt(20_000)
     parse = lex_parse(text)
     assert peak_bytes_per_symbol(len(text), decode, parse) <= 20  # 16.3
+
+
+def test_edit_scan_peak():
+    # 96.8 here.  The scan's reach table comes from a suffix array of the
+    # reversed text, dropped before the text's own is built; 92.0 before the
+    # table, and 129.6 when that array was kept and the table was a list.
+    text = fibonacci(15)
+    assert len(text) == 610
+    ordering = AlphabetOrdering.from_string("ab")
+    assert peak_bytes_per_symbol(len(text), edit_sensitivity_scan, text, "sub", ordering) <= 100
 
 
 def test_verify_peak():

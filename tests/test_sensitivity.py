@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ao_scan_oracle, edit_scan_oracle, random_text
+from conftest import ao_scan_oracle, edit_scan_oracle, exact_reach, random_text
 from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.fibwords import fib_length, fibonacci
 from lexparse.parse import lex_parse_naive, v_count
 from lexparse.sensitivity import (
     _EditedCounter,
+    _reach_bound,
     ao_sensitivity_scan,
     edit_sensitivity_scan,
     sensitivity_growth_table,
@@ -117,6 +118,66 @@ def test_scan_rows_match_per_candidate_rebuilds_on_texts_with_runs(text):
         report = edit_sensitivity_scan(text, kind, ordering, keep_rows=True)
         assert [r.v for r in report.rows] == edit_scan_oracle(text, kind, ordering), (
             kind, ordering.spec)
+
+
+def _random_texts(seed, count, max_len):
+    """(text, alphabet) pairs over 2 to 4 symbols: uniform, in runs of equal
+    symbols, or a prefix of a power of a short word, so that the ends repeat."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = "abcd"[: 2 + i % 3]
+        shape = i // 3 % 3
+        if shape == 0:
+            text = random_text(rng, alphabet, max_len, min_len=2)
+        elif shape == 1:
+            text = "".join(rng.choice(alphabet) * rng.randint(1, 6) for _ in range(max_len))
+            text = text[: rng.randint(2, max_len)]
+        else:
+            word = random_text(rng, alphabet, 5)
+            text = (word * max_len)[: rng.randint(2, max_len)]
+        yield text, alphabet
+
+
+def _assert_reach_bounds(text, ordering):
+    counter = _EditedCounter(text, ordering)
+    u = counter.u
+    # left[a] is the exact reach of u[:a] within u itself
+    assert list(counter.left) == [exact_reach(u, a) for a in range(len(u) + 1)], text
+    edited_at = set()
+    for kind in ("sub", "ins", "del"):
+        for cand in edit_candidates(text, kind, ordering):
+            t = cand.text.translate(counter.table)
+            a = cand.position - 1
+            assert exact_reach(t, a) <= _reach_bound(t, a, counter.left[a]) <= a, (text, cand)
+            edited_at.add(a)
+    assert {0, len(text)} <= edited_at  # the table's edge entries left[0] and left[n]
+
+
+def test_reach_bound_covers_the_exact_reach_on_random_texts():
+    for text, alphabet in _random_texts(2024, 90, 50):
+        _assert_reach_bounds(text, AlphabetOrdering.from_string("$" + alphabet))
+
+
+@pytest.mark.parametrize("k", range(8, 15))
+def test_reach_bound_covers_the_exact_reach_on_fibonacci_words(k):
+    _assert_reach_bounds(fibonacci(k), AlphabetOrdering.from_string("$ab"))
+
+
+def test_edits_at_the_text_ends_match_per_candidate_rebuilds():
+    for text, alphabet in _random_texts(4051, 45, 60):
+        n = len(text)
+        sigma = len(alphabet)
+        for kind, spec, last, per_end in (
+            ("sub", alphabet, n, sigma - 1),
+            ("ins", "$" + alphabet, n + 1, sigma + 1),
+            ("del", alphabet, n, 1),
+        ):
+            ordering = AlphabetOrdering.from_string(spec)
+            report = edit_sensitivity_scan(text, kind, ordering, keep_rows=True)
+            oracle = edit_scan_oracle(text, kind, ordering)
+            ends = [(r, v) for r, v in zip(report.rows, oracle) if r.position in (1, last)]
+            assert len(ends) == 2 * per_end, (text, kind)
+            assert all(r.v == v for r, v in ends), (text, kind, ends)
 
 
 @pytest.mark.parametrize("k", [6, 7, 8, 9])
