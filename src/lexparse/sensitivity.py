@@ -166,15 +166,19 @@ class _EditedCounter:
         The affected heads are searched only at phrase starts where one can
         beat the best of the other groups: where that best is below
         ``n - i - 1``, and ``x[:best + 1]`` occurs at some start other than
-        i in ``[a - top, a)``, ``top`` the reach bound.  One or two finds
-        test that; the other phrases open no doubling window.
+        i in ``[a - reach, a)``.  One or two finds test that, and the
+        leftmost such start bounds the search.  Its windows of ``m`` double
+        from one that takes every ``m`` below ``2 (best + 1)``; each is a find
+        of the longest prefix of ``x`` that every winning head in it starts
+        with, an occurrence that may cross the edit.
         """
         u, sa, rank, lcp = self.u, self.sa, self.rank, self.lcp
-        t = cand.text.translate(self.table)
-        n = len(t)
         a = cand.position - 1
         b = a + (cand.old is not None)
-        tail = a + (cand.new is not None)  # t[j:] == u[j + b - tail:] for j >= tail
+        e = "" if cand.new is None else self.table[ord(cand.new)]
+        t = u[:a] + e + u[b:]
+        n = len(t)
+        tail = a + len(e)  # t[j:] == u[j + b - tail:] for j >= tail
         # Before the edit, x = u[i:a] + t[a:] agrees with u[i:] on a - i + c
         # symbols, c the LCP of t[a:] and u[a:], and the order of t[a:] and
         # u[a:] is the order of x and u[i:].
@@ -220,10 +224,10 @@ class _EditedCounter:
                     best = l
             # 3. Each affected head t[j:] == x[:m] + t[a:], m = a - j, smaller
             # than x when t[a:] is smaller than x[m:].  Its m cannot exceed
-            # ``reach``; the m in [ell, 2 ell) start with an occurrence of x[:ell].
-            # A head does better than ``best`` only if x[:best + 1] occurs at
-            # its start, so one find over the starts a - top .. a - 1 (other
-            # than i) rules out most phrases before any window is opened.  No
+            # ``reach``, and it does better than ``best`` only if x[:best + 1]
+            # starts it in t, for an m below best + 1 as for one above.  So the
+            # leftmost such start other than i in [a - reach, a) bounds every
+            # winning m (``top``), and no start at all rules the phrase out.  No
             # smaller suffix shares all of x, so best = n - i - 1 cannot grow.
             top = min(reach, n - i) if best < n - i - 1 else 0
             if top:
@@ -231,25 +235,26 @@ class _EditedCounter:
                 j = t.find(pat, a - top, a + best)
                 if j == i:
                     j = t.find(pat, i + 1, a + best)
-                if j < 0:
-                    top = 0
-            ell = 1
-            while ell <= top:
-                pat = x[:ell]
-                j = u.find(pat, a - min(2 * ell - 1, top), a)
-                while j >= 0:
-                    m = a - j
-                    d = best - m + 1  # t[a:] must share d symbols with x[m:] to do better
-                    if (
-                        j != i
-                        and u[j + ell : a] == x[ell:m]
-                        and (d <= 0 or t[a : a + d] == x[m : m + d])
-                    ):
-                        l = _lce(t, a, x, m)
-                        if a + l == n or (i + m + l < n and t[a + l] < x[m + l]):
-                            best = m + l
-                    j = u.find(pat, j + 1, a)
-                ell *= 2
+                top = a - j if j >= 0 else 0
+                # A winning head with m in [first, 2 ell) starts with x[:L] in t,
+                # L = max(ell, best + 1); an occurrence with m <= L crosses the
+                # edit and is such a head.  One window takes every m below
+                # 2 (best + 1), then the windows double.
+                ell, first = best + 1, 1
+                while first <= top:
+                    L = max(ell, best + 1)
+                    pat = x[:L]
+                    j = t.find(pat, a - min(2 * ell - 1, top), a - first + L)
+                    while j >= 0:
+                        m = a - j
+                        if j != i and (m <= L or u[j + L : a] == x[L:m]):
+                            l = _lce(t, a, x, m)
+                            if a + l == n or (i + m + l < n and t[a + l] < x[m + l]):
+                                best = m + l
+                                L = best + 1
+                                pat = x[:L]
+                        j = t.find(pat, j + 1, a - first + L)
+                    first = ell = 2 * ell
             v += 1
             i += best or 1
         return v

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -118,6 +119,18 @@ def test_scan_rows_match_per_candidate_rebuilds_on_texts_with_runs(text):
         report = edit_sensitivity_scan(text, kind, ordering, keep_rows=True)
         assert [r.v for r in report.rows] == edit_scan_oracle(text, kind, ordering), (
             kind, ordering.spec)
+
+
+@pytest.mark.parametrize("kind, spec", [("sub", "ab"), ("ins", "$ab"), ("del", "ab")])
+def test_scan_rows_match_per_candidate_rebuilds_on_every_short_binary_word(kind, spec):
+    # all 508 words over {a, b} of length 2..8: every edit position, reach
+    # and head window these lengths allow
+    ordering = AlphabetOrdering.from_string(spec)
+    for length in range(2, 9):
+        for w in itertools.product("ab", repeat=length):
+            text = "".join(w)
+            report = edit_sensitivity_scan(text, kind, ordering, keep_rows=True)
+            assert [r.v for r in report.rows] == edit_scan_oracle(text, kind, ordering), text
 
 
 def _random_texts(seed, count, max_len):
