@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alphabet import AlphabetOrdering
+from .textops import _SCAN, _lce
 
 
 def is_lyndon(w: str, ordering: AlphabetOrdering | None = None) -> bool:
@@ -60,20 +61,40 @@ class LyndonFactorization:
 
 
 def lyndon_factorize(w: str, ordering: AlphabetOrdering | None = None) -> LyndonFactorization:
-    """The unique decreasing factorization of ``w`` into Lyndon-word powers (Duval, linear)."""
+    """The unique decreasing factorization of ``w`` into Lyndon-word powers.
+
+    Duval's algorithm, with each stretch where the word agrees with itself
+    one period back crossed in one step: compared symbol by symbol up to
+    ``_SCAN`` symbols, and past that by one longest-common-extension query
+    over slice comparisons (:func:`lexparse.textops._lce`), so a stretch
+    thousands of symbols long costs O(log length) slices.  Symbols are
+    renamed to ``chr(rank)``, so that ``str`` comparison is the order under
+    the ordering.
+    """
     ordering = AlphabetOrdering.for_text(w, ordering)
-    s = ordering.key(w)
+    s = w.translate({ord(c): chr(r) for r, c in enumerate(ordering.symbols)})
     n = len(s)
     raw: list[str] = []
     i = 0
     while i < n:
         j, k = i + 1, i
-        while j < n and s[k] <= s[j]:
-            if s[k] < s[j]:
+        while j < n:
+            if s[k] == s[j]:
+                m = n - j
+                if m > _SCAN:
+                    m = _SCAN
+                step = 1
+                while step < m and s[k + step] == s[j + step]:
+                    step += 1
+                if step == _SCAN:
+                    step += _lce(s, k + _SCAN, s, j + _SCAN)
+                k += step
+                j += step
+            elif s[k] < s[j]:
                 k = i
+                j += 1
             else:
-                k += 1
-            j += 1
+                break
         period = j - k
         while i <= k:
             raw.append(w[i : i + period])

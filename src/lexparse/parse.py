@@ -18,6 +18,7 @@ from typing import Iterator, Union
 
 from .alphabet import AlphabetOrdering
 from .suffixes import SuffixArray, build_suffix_array
+from .textops import _SCAN, _lce
 
 
 class MalformedParseError(ValueError):
@@ -127,9 +128,12 @@ def lex_parse(
 
     The text is parsed as given, with no end marker appended.
     A prebuilt suffix array for the same text/ordering may be passed to avoid
-    rebuilding it.  Each phrase is measured by a direct scan against its
-    start's predecessor suffix; phrase lengths sum to n, so the walk costs
-    O(n + v) and never needs the suffix array's LCP array.
+    rebuilding it.  Each phrase is measured against its start's predecessor
+    suffix: symbol by symbol up to ``_SCAN`` symbols, where most phrases of
+    a random text end, and past that by one longest-common-extension query
+    over slice comparisons (:func:`lexparse.textops._lce`), which crosses
+    the long phrases of repetitive texts in O(log length) slices.  The walk
+    never needs the suffix array's LCP array.
     """
     if sa is None:
         sa = build_suffix_array(text, ordering)
@@ -144,9 +148,13 @@ def lex_parse(
         l = 0
         if r > 1:
             j = starts[r - 2] - 1  # 0-based start of the predecessor suffix
-            m = n - max(i, j)
+            m = n - (i if i > j else j)
+            if m > _SCAN:
+                m = _SCAN
             while l < m and text[i + l] == text[j + l]:
                 l += 1
+            if l == _SCAN:
+                l += _lce(text, i + _SCAN, text, j + _SCAN)
         if l == 0:
             phrases.append(Explicit(text[i]))
             i += 1

@@ -17,7 +17,7 @@ from .alphabet import AlphabetOrdering, all_orderings
 from .fibwords import DEFAULT_MAX_N, edited_fib, fib_length, fibonacci
 from .parse import lex_parse
 from .suffixes import build_suffix_array
-from .textops import EditCandidate, edit_candidates, normalize_kind
+from .textops import EditCandidate, _lce, edit_candidates, normalize_kind
 
 MAX_AO_SIGMA = 8
 
@@ -285,25 +285,6 @@ def _reach_bound(t: str, a: int, left: int) -> int:
             lo = mid
         else:
             hi = mid
-    return lo
-
-
-def _lce(s: str, i: int, t: str, j: int) -> int:
-    """Length of the longest common prefix of ``s[i:]`` and ``t[j:]``, by galloping
-    and then binary search over slice comparisons."""
-    end = min(len(s) - i, len(t) - j)
-    lo, step = 0, 8
-    while lo < end:
-        hi = min(lo + step, end)
-        if s[i + lo : i + hi] != t[j + lo : j + hi]:
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if s[i + lo : i + mid] == t[j + lo : j + mid]:
-                    lo = mid
-                else:
-                    hi = mid
-            return lo
-        lo, step = hi, 2 * step
     return lo
 
 

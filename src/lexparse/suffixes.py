@@ -3,8 +3,9 @@
 The ordering is absorbed by renaming symbols to their ranks before
 construction, so one code path serves every ordering.  Construction is
 SA-IS (linear time, by induced sorting) over the ranks shifted up by one,
-with a virtual sentinel 0 appended; a naive full sort is kept permanently
-as the test oracle.  The adjacent-rank LCP array is not part of
+behind one symbol above them all and with a virtual sentinel 0 appended,
+so that SA-IS returns 1-based text positions; a naive full sort is kept
+permanently as the test oracle.  The adjacent-rank LCP array is not part of
 construction: it is computed (Kasai) on first use of ``SuffixArray.lcp``;
 the edit scans and the ordering scan read it, the lex-parse does not.  All
 positions and ranks in the public contract are 1-based.
@@ -82,7 +83,11 @@ class SuffixArray:
         return self.sa[r - 2]
 
     def lcp_between(self, i: int, j: int) -> int:
-        """LCP length of the suffixes starting at positions i and j, by direct scan."""
+        """LCP length of the suffixes starting at positions i and j, by direct scan.
+
+        Symbol by symbol on purpose: ``tests/conftest.py`` checks the Kasai
+        ``lcp`` against it, so it shares no code with the fast paths.
+        """
         self._check_pos(i)
         self._check_pos(j)
         t = self.text
@@ -101,11 +106,17 @@ class SuffixArray:
 def build_suffix_array(text: str, ordering: AlphabetOrdering | None = None) -> SuffixArray:
     """Suffix array of ``text`` under ``ordering`` (default: code-point order)."""
     ordering = AlphabetOrdering.for_text(text, ordering)
+    top = len(ordering.symbols) + 1
+    # A leading symbol above every other makes each text position its own
+    # 1-based index in s, and its suffix sorts last; the virtual sentinel 0
+    # at the end, smaller than every symbol, sorts first.  It is inserted in
+    # place, so that no second list of n entries is ever held.
     s = [c + 1 for c in ordering.key(text)]
-    s.append(0)  # the virtual sentinel, smaller than every symbol
-    sa0 = _sais(s, len(ordering.symbols) + 1)
-    del s, sa0[0]  # sa0[0] is the sentinel's own suffix
-    return _finish(text, ordering, sa0)
+    s.insert(0, top)
+    s.append(0)
+    sa1 = _sais(s, top + 1)
+    del s, sa1[0], sa1[-1]  # the sentinel's suffix and the leading symbol's
+    return _finish(text, ordering, sa1)
 
 
 def build_suffix_array_naive(text: str, ordering: AlphabetOrdering | None = None) -> SuffixArray:
@@ -115,7 +126,8 @@ def build_suffix_array_naive(text: str, ordering: AlphabetOrdering | None = None
     """
     ordering = AlphabetOrdering.for_text(text, ordering)
     ranks = ordering.key(text)
-    return _finish(text, ordering, sorted(range(len(ranks)), key=lambda i: ranks[i:]))
+    order = sorted(range(1, len(ranks) + 1), key=lambda i: ranks[i - 1 :])
+    return _finish(text, ordering, order)
 
 
 def _sais(s: list[int], k: int) -> list[int]:
@@ -218,14 +230,10 @@ def _induce(
     return sa
 
 
-def _finish(text: str, ordering: AlphabetOrdering, sa0: list[int]) -> SuffixArray:
-    """Package a 0-based suffix array and its inverse as 1-based arrays."""
-    rank = array("i", bytes(4 * len(sa0)))
-    for r, p in enumerate(sa0, 1):
+def _finish(text: str, ordering: AlphabetOrdering, sa1: list[int]) -> SuffixArray:
+    """Package 1-based suffix starts, in rank order, and their inverse as arrays."""
+    rank = array("i", bytes(4 * (len(sa1) + 1)))
+    for r, p in enumerate(sa1, 1):
         rank[p] = r
-    return SuffixArray(
-        text=text,
-        ordering=ordering,
-        sa=array("i", map((1).__add__, sa0)),
-        rank=rank,
-    )
+    del rank[0]
+    return SuffixArray(text=text, ordering=ordering, sa=array("i", sa1), rank=rank)

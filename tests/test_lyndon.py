@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -86,26 +87,65 @@ def test_factorize_examples():
         lyndon_factorize("", ORD_AB)
 
 
+def assert_lyndon_factorization(w, ordering):
+    """The properties that fix the factorization of ``w`` uniquely: it
+    expands back to ``w``, every factor is Lyndon, factors strictly decrease."""
+    lf = lyndon_factorize(w, ordering)
+    assert lf.expand() == w
+    factors = [lam for lam, _ in lf.factors]
+    assert all(is_lyndon(lam, ordering) for lam in factors)
+    keys = [ordering.key(lam) for lam in factors]
+    assert all(keys[i] > keys[i + 1] for i in range(len(keys) - 1))
+    assert all(p >= 1 for _, p in lf.factors)
+
+
 def test_factorization_invariants_random():
     rng = random.Random(321)
     for _ in range(150):
         w = random_text(rng, "abc", 60)
         ordering = AlphabetOrdering(tuple(rng.sample(sorted(set(w)), len(set(w)))))
-        lf = lyndon_factorize(w, ordering)
-        assert lf.expand() == w
-        factors = [lam for lam, _ in lf.factors]
-        assert all(is_lyndon(lam, ordering) for lam in factors)
-        keys = [ordering.key(lam) for lam in factors]
-        assert all(keys[i] > keys[i + 1] for i in range(len(keys) - 1))
-        assert all(p >= 1 for _, p in lf.factors)
+        assert_lyndon_factorization(w, ordering)
 
 
 def test_duval_matches_brute_force():
-    for ordering in (ORD_AB, ORD_BA):
-        for w in all_binary_strings(1, 8):
+    words = list(all_binary_strings(1, 8))
+    words += ["".join(t) for n in range(1, 7) for t in itertools.product("abc", repeat=n)]
+    orderings = [ORD_AB, ORD_BA, AlphabetOrdering.from_string("abc"),
+                 AlphabetOrdering.from_string("cab")]
+    for w in words:
+        for ordering in orderings:
+            if not set(w) <= set(ordering.symbols):
+                continue
             all_facs = brute_factorizations(w, ordering)
             assert len(all_facs) == 1  # uniqueness from the definition
             assert group_runs(all_facs[0]) == lyndon_factorize(w, ordering).factors
+
+
+def test_duval_jumps_on_long_runs():
+    # Duval crosses each stretch where the word repeats itself one period
+    # back in one step; these words (up to fib(16), 987 symbols, and a
+    # shortened factor of 1,596) hold such stretches hundreds long.
+    words = [fibonacci(k) for k in range(1, 17)]
+    words += [fibonacci(2 * k)[:-2] for k in range(2, 9)]
+    words += [fib_lyndon_factor(k)[:-1] for k in range(1, 9)]
+    for n in (1, 2, 31, 32, 33, 200):
+        words += ["a" * n + "b", "ab" * n + "a"]
+    for w in words:
+        for ordering in (ORD_AB, ORD_BA):
+            assert_lyndon_factorization(w, ordering)
+
+
+def test_duval_jumps_on_run_heavy_words():
+    rng = random.Random(4242)
+    for _ in range(60):
+        w = ""
+        while len(w) < 400:
+            w += rng.choice("abc") * rng.randint(1, 40)
+            if rng.random() < 0.3:  # repeat a recent stretch
+                w += w[-rng.randint(1, len(w)) :] * rng.randint(1, 3)
+        w = w[: rng.randint(1, 400)]
+        symbols = sorted(set(w))
+        assert_lyndon_factorization(w, AlphabetOrdering(tuple(rng.sample(symbols, len(symbols)))))
 
 
 def test_morphism_commutes_with_factorization():

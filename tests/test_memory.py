@@ -70,7 +70,7 @@ def test_edit_scan_peak():
 
 def test_verify_peak():
     # k = 10 builds its largest suffix array on f(20) = 6,765 symbols.  The
-    # groups share only the edited word's array; 71.3 here and 71.5 when
+    # groups share only the edited word's array; 71.2 here and 71.5 when
     # every group built its own.  Also keeping the one-group array of
     # F_20[:-2] until k moves on reached 80.7.
     n = fib_length(20)

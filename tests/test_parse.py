@@ -115,6 +115,30 @@ def test_matches_naive_oracle_random():
         assert lex_parse(w, ordering) == lex_parse_naive(w, ordering)
 
 
+def test_walk_on_both_sides_of_its_scan_limit():
+    # The walk compares a phrase symbol by symbol up to 32 symbols and then
+    # gallops; these texts hold copy phrases just below, at and above 32
+    # and over 64, among them phrases whose comparison stops at the end of
+    # the text (their source runs to the last symbol).
+    texts = ["a" * n for n in range(1, 101)]
+    texts += [("ab" * 50)[:n] for n in range(1, 101)]
+    texts += [("aab" * 40)[:n] for n in range(1, 121)]
+    texts += [fibonacci(k) for k in range(1, 15)]
+    texts += [edited_fib(2 * k) for k in range(2, 8)]
+    lengths, final = set(), set()
+    for w in texts:
+        for ordering in (ORD_AB, ORD_BA):
+            p = lex_parse(w, ordering)
+            assert p == lex_parse_naive(w, ordering)
+            for ph in p.phrases:
+                if isinstance(ph, Copy):
+                    lengths.add(ph.length)
+                    if ph.source + ph.length - 1 == len(w):
+                        final.add(ph.length)
+    assert {31, 32, 33} <= lengths and {31, 32, 33} <= final
+    assert max(lengths) > 64 and max(final) > 64
+
+
 def test_prebuilt_sa_must_match():
     sa = build_suffix_array("abab")
     with pytest.raises(ValueError):
