@@ -93,15 +93,13 @@ def _require_even(k2: int) -> None:
 
 def phi(w: str) -> str:
     """Homomorphic image under a -> aab, b -> ab."""
-    out = []
-    for c in w:
-        if c == "a":
-            out.append("aab")
-        elif c == "b":
-            out.append("ab")
-        else:
-            raise ValueError(f"morphism defined over {{a, b}} only, got {c!r}")
-    return "".join(out)
+    bad = w.translate({97: None, 98: None})
+    if bad:
+        raise ValueError(f"morphism defined over {{a, b}} only, got {bad[0]!r}")
+    # "\0" holds the b's places while the a's are rewritten; the check leaves none
+    # in w.  Parking the a's instead gives the same image, but perfbench's `verify`
+    # reads a higher peak RSS with it (heap layout, not a larger working set).
+    return w.replace("b", "\0").replace("a", "aab").replace("\0", "ab")
 
 
 def phi_power_a(i: int) -> str:

@@ -140,7 +140,7 @@ class _EditedCounter:
 
     def __init__(self, text: str, ordering: AlphabetOrdering):
         self.table = {ord(c): chr(r) for r, c in enumerate(ordering.symbols)}
-        self.u = u = text.translate(self.table)
+        self.u = text.translate(self.table)
         # left[a]: the longest suffix of u[:a] that also ends elsewhere in u,
         # the larger LCP of u[:a] reversed with its two rank neighbours among
         # the suffixes of the reversed text.  Built, and its suffix array
@@ -151,14 +151,8 @@ class _EditedCounter:
         self.left.extend(max(rlcp[r - 1], rlcp[r]) for r in reversed(rev.rank))
         del rev, rlcp
         sa = build_suffix_array(text, ordering)
-        self.sa = [p - 1 for p in sa.sa]  # 0-based start of the suffix of 0-based rank r
-        self.rank = rank = [r - 1 for r in sa.rank]  # 0-based rank of the suffix at i
-        self.lcp = lcp = sa.lcp  # lcp[r]: LCP of the suffixes of 0-based ranks r-1 and r
-        v = i = 0
-        while i < len(u):
-            i += lcp[rank[i]] or 1
-            v += 1
-        self.base_v = v
+        self.sa, self.rank, self.lcp = sa.sa, sa.rank, sa.lcp  # read as built, 1-based
+        self.base_v = lex_parse(text, ordering, sa=sa).v
 
     def edited_v(self, cand: EditCandidate) -> int:
         """Phrase count of ``cand.text``, one of the base text's neighbours.
@@ -192,24 +186,24 @@ class _EditedCounter:
             # with x is the best of all unaffected ones, since LCPs with x do
             # not grow going down the suffix array.  k is x's insertion point.
             if i >= tail:
-                k = rank[i + b - tail]
+                k = rank[i + b - tail] - 1
                 best = lcp[k]
             else:
                 k = -1
                 if i < len(u):  # no neighbour to start from when appending at the end
-                    r, agree = rank[i], a - i + c
+                    r, agree = rank[i] - 1, a - i + c
                     if edited_below:
                         if lcp[r] < agree:
                             k, best = r, lcp[r]
                     elif r + 1 == len(sa) or lcp[r + 1] < agree:
                         k, best = r + 1, agree
                 if k < 0:
-                    k = bisect_left(sa, x, key=lambda p: u[p:])
-                    best = _lce(x, 0, u, sa[k - 1]) if k else 0
+                    k = bisect_left(sa, x, key=lambda p: u[p - 1 :])
+                    best = _lce(x, 0, u, sa[k - 1] - 1) if k else 0
             k -= 1
             while k >= 0:
-                p = sa[k]
-                if p >= b or (p < a and best < a - p):
+                p = sa[k]  # the 1-based start of the suffix of 0-based rank k
+                if p > b or (p <= a and best <= a - p):
                     break
                 if lcp[k] < best:
                     best = lcp[k]
@@ -229,7 +223,8 @@ class _EditedCounter:
             # leftmost such start other than i in [a - reach, a) bounds every
             # winning m (``top``), and no start at all rules the phrase out.  No
             # smaller suffix shares all of x, so best = n - i - 1 cannot grow.
-            top = min(reach, n - i) if best < n - i - 1 else 0
+            # (Conditionals, not a min() call, at this once-a-phrase step.)
+            top = 0 if best >= n - i - 1 else reach if reach < n - i else n - i
             if top:
                 pat = x[: best + 1]
                 j = t.find(pat, a - top, a + best)

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from lexparse.fibwords import (
@@ -97,6 +100,18 @@ def test_phi():
     assert phi("a") == "aab"
     with pytest.raises(ValueError):
         phi("abc")
+
+
+def test_phi_matches_the_per_symbol_image():
+    # phi rewrites by a replace chain that parks the b's on "\0"
+    image = {"a": "aab", "b": "ab"}
+    rng = random.Random(94)
+    for _ in range(500):
+        w = "".join(rng.choice("ab") for _ in range(rng.randint(0, 40)))
+        assert phi(w) == "".join(image[c] for c in w), w
+    for w, c in (("a\0b", "\0"), ("\0", "\0"), ("ab$a\0", "$")):
+        with pytest.raises(ValueError, match=re.escape(f"over {{a, b}} only, got {c!r}")):
+            phi(w)
 
 
 def test_phi_power_lengths():

@@ -14,7 +14,7 @@ import tracemalloc
 from lexparse.alphabet import AlphabetOrdering
 from lexparse.fibwords import fib_length, fibonacci
 from lexparse.parse import Copy, Explicit, decode, lex_parse
-from lexparse.sensitivity import edit_sensitivity_scan
+from lexparse.sensitivity import _EditedCounter, edit_sensitivity_scan
 from lexparse.suffixes import build_suffix_array
 from lexparse.verify import run_verification
 
@@ -59,13 +59,25 @@ def test_decode_peak():
 
 
 def test_edit_scan_peak():
-    # 96.8 here.  The scan's reach table comes from a suffix array of the
-    # reversed text, dropped before the text's own is built; 92.0 before the
-    # table, and 129.6 when that array was kept and the table was a list.
+    # 53.8 here, taken at the counter's set-up.  The counter reads its suffix
+    # array as built; 96.7 when it kept 0-based list copies of ``sa`` and
+    # ``rank``.  The scan's reach table comes from a suffix array of the
+    # reversed text, dropped before the text's own is built; 129.6 when that
+    # array was kept and the table was a list.
     text = fibonacci(15)
     assert len(text) == 610
     ordering = AlphabetOrdering.from_string("ab")
     assert peak_bytes_per_symbol(len(text), edit_sensitivity_scan, text, "sub", ordering) <= 100
+
+
+def test_edit_counter_setup_peak_on_a_longer_word():
+    # 60.7 here, and 51.6 held once set up; 138.9 and 122.5 with the list
+    # copies.  Only the set-up is traced: a traced full scan of f(20) takes
+    # about 20 s.
+    text = fibonacci(20)
+    assert len(text) == 6_765
+    ordering = AlphabetOrdering.from_string("ab")
+    assert peak_bytes_per_symbol(len(text), _EditedCounter, text, ordering) <= 100
 
 
 def test_verify_peak():
