@@ -137,25 +137,20 @@ def _ratio_str(r) -> str:
     return f"{r.numerator}/{r.denominator} ({float(r):.3f})"
 
 
-def _render(
-    args: argparse.Namespace,
-    obj: dict | None,
-    header: list[str],
-    rows: list[list],
-    lines: list[str] | None,
-) -> int:
-    """Write one report in ``args.format``: ``obj`` as JSON, ``header`` and
-    ``rows`` as CSV, or ``lines`` as the human-readable text."""
+def _render(args: argparse.Namespace, report) -> int:
+    """Write one report, built for ``args.format`` alone: a dict as JSON, a
+    (header, rows) pair as CSV, or a list of lines as the human-readable text."""
     if args.format == "json":
-        payload = json.dumps(obj, indent=2) + "\n"
+        payload = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":
+        header, rows = report
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         payload = buf.getvalue()
     else:
-        payload = "\n".join(lines) + "\n"
+        payload = "\n".join(report) + "\n"
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -170,21 +165,22 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     if args.format == "lexparse":
         _emit(to_lines(parse), args.out)
         return EXIT_OK
-    rows = []
+    if args.format == "json":
+        return _render(args, to_dict(parse))
+    rows = [
+        [idx, start, length, *(("E", "") if isinstance(ph, Explicit) else ("C", ph.source))]
+        for idx, ((start, length), ph) in enumerate(zip(parse.spans(), parse.phrases), 1)
+    ]
+    if args.format == "csv":
+        return _render(args, (["index", "start", "length", "kind", "source"], rows))
     lines = [
         f"lex-parse  n={parse.n}  ordering={ordering.spec}  v={parse.v}",
         f"{'idx':>4} {'start':>8} {'len':>8} {'kind':>4} {'source':>8}  content",
     ]
-    contents = phrase_strings(parse, text)
-    for idx, ((start, length), ph, s) in enumerate(
-        zip(parse.spans(), parse.phrases, contents), 1
-    ):
-        kind, source = ("E", "") if isinstance(ph, Explicit) else ("C", ph.source)
-        rows.append([idx, start, length, kind, source])
+    for (idx, start, length, kind, source), s in zip(rows, phrase_strings(parse, text)):
         preview = s if len(s) <= 24 else s[:21] + "..."
         lines.append(f"{idx:>4} {start:>8} {length:>8} {kind:>4} {source:>8}  {preview}")
-    header = ["index", "start", "length", "kind", "source"]
-    return _render(args, to_dict(parse), header, rows, lines)
+    return _render(args, lines)
 
 
 # --- scan -------------------------------------------------------------------
@@ -200,26 +196,46 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         given = [flag for flag, on in edit_only.items() if on]
         if given:
             raise CliError(f"scan ao does not take {', '.join(given)} (scan edit only)")
-        return _render(args, *_ao_report(ao_sensitivity_scan(_resolve_text(args))))
+        return _render(args, _ao_report(ao_sensitivity_scan(_resolve_text(args)), args.format))
     text = _resolve_text(args)
     if not args.kind:
         raise CliError("scan edit requires --kind <sub|ins|del>")
     ordering = _resolve_ordering(args, text)
     report = edit_sensitivity_scan(text, args.kind, ordering, keep_rows=args.rows)
-    return _render(args, *_edit_report(report))
+    return _render(args, _edit_report(report, args.format))
 
 
-def _edit_report(report) -> tuple[dict, list[str], list[list], list[str]]:
+def _edit_report(report, fmt: str):
+    """The edit scan's report for :func:`_render` in format ``fmt``."""
     w = report.witness
-    obj = {
-        "kind": report.kind,
-        "ordering": report.ordering.spec,
-        "v_base": report.base_v,
-        "max_v": report.max_v,
-        "max_ratio": [report.max_ratio.numerator, report.max_ratio.denominator],
-        "candidates": report.candidates,
-        "witness": {"position": w.position, "old": w.old, "new": w.new},
-    }
+    if fmt == "json":
+        obj = {
+            "kind": report.kind,
+            "ordering": report.ordering.spec,
+            "v_base": report.base_v,
+            "max_v": report.max_v,
+            "max_ratio": [report.max_ratio.numerator, report.max_ratio.denominator],
+            "candidates": report.candidates,
+            "witness": {"position": w.position, "old": w.old, "new": w.new},
+        }
+        if report.rows is not None:
+            obj["rows"] = [
+                {"position": r.position, "old": r.old, "new": r.new, "v": r.v}
+                for r in report.rows
+            ]
+        return obj
+    if fmt == "csv":
+        header = ["kind", "position", "old", "new", "v_base", "v_edited", "ratio"]
+        # without --rows only the witness row is emitted
+        source_rows = report.rows if report.rows is not None else (
+            EditRow(report.kind, w.position, w.old, w.new, report.max_v),
+        )
+        rows = [
+            [report.kind, r.position, r.old or "", r.new or "", report.base_v, r.v,
+             f"{r.v}/{report.base_v}"]
+            for r in source_rows
+        ]
+        return header, rows
     lines = [
         f"edit-sensitivity scan  kind={report.kind}  ordering={report.ordering.spec}",
         f"candidates: {report.candidates}",
@@ -229,44 +245,33 @@ def _edit_report(report) -> tuple[dict, list[str], list[list], list[str]]:
         f"witness: position {w.position}, {w.old!r} -> {w.new!r}",
     ]
     if report.rows is not None:
-        obj["rows"] = [
-            {"position": r.position, "old": r.old, "new": r.new, "v": r.v}
-            for r in report.rows
-        ]
         lines.append("rows:")
         lines.extend(
             f"  {r.position:>8} {str(r.old or '-'):>3} {str(r.new or '-'):>3} v={r.v}"
             for r in report.rows
         )
-    header = ["kind", "position", "old", "new", "v_base", "v_edited", "ratio"]
-    # without --rows only the witness row is emitted
-    source_rows = report.rows if report.rows is not None else (
-        EditRow(report.kind, w.position, w.old, w.new, report.max_v),
-    )
-    rows = [
-        [report.kind, r.position, r.old or "", r.new or "", report.base_v, r.v,
-         f"{r.v}/{report.base_v}"]
-        for r in source_rows
-    ]
-    return obj, header, rows, lines
+    return lines
 
 
-def _ao_report(report) -> tuple[dict, list[str], list[list], list[str]]:
-    obj = {
-        "per_ordering": report.per_ordering,
-        "max_v": report.max_v,
-        "min_v": report.min_v,
-        "ratio": [report.ratio.numerator, report.ratio.denominator],
-        "argmax": report.argmax,
-        "argmin": report.argmin,
-    }
-    rows = [[spec, v] for spec, v in report.per_ordering.items()]
+def _ao_report(report, fmt: str):
+    """The ordering scan's report for :func:`_render` in format ``fmt``."""
+    if fmt == "json":
+        return {
+            "per_ordering": report.per_ordering,
+            "max_v": report.max_v,
+            "min_v": report.min_v,
+            "ratio": [report.ratio.numerator, report.ratio.denominator],
+            "argmax": report.argmax,
+            "argmin": report.argmin,
+        }
+    if fmt == "csv":
+        return ["ordering", "v"], [[spec, v] for spec, v in report.per_ordering.items()]
     lines = ["alphabet-ordering scan"]
     lines.extend(f"  {spec}: v={v}" for spec, v in report.per_ordering.items())
     lines.append(f"max v = {report.max_v} ({report.argmax})")
     lines.append(f"min v = {report.min_v} ({report.argmin})")
     lines.append(f"ratio = {_ratio_str(report.ratio)}")
-    return obj, ["ordering", "v"], rows, lines
+    return lines
 
 
 # --- growth -----------------------------------------------------------------
@@ -278,7 +283,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
         [r.k, r.n, r.base_v, r.witness_v, f"{r.ratio.numerator}/{r.ratio.denominator}"]
         for r in sensitivity_growth_table(k_min, k_max, max_n=_max_n())
     ]
-    return _render(args, None, ["k", "n", "v_base", "witness_v", "ratio"], rows, None)
+    return _render(args, (["k", "n", "v_base", "witness_v", "ratio"], rows))
 
 
 # --- verify -----------------------------------------------------------------

@@ -78,7 +78,12 @@ class LexParse:
                     )
                 pos += 1
                 continue
-            length, source = ph.length, ph.source
+            try:
+                length, source = ph.length, ph.source
+            except AttributeError:
+                raise MalformedParseError(
+                    f"phrase at {pos} is {type(ph).__name__!r}, neither Explicit nor Copy"
+                ) from None
             if type(length) is not int or length < 1:
                 raise MalformedParseError(f"copy phrase at {pos} has length {length!r}")
             if type(source) is not int or not 1 <= source <= n - length + 1:

@@ -13,11 +13,12 @@ positions and ranks in the public contract are 1-based.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, compress
-from operator import gt
+from operator import add, gt
 
 from .alphabet import AlphabetOrdering
 
@@ -134,14 +135,19 @@ def _sais(s: list[int], k: int) -> list[int]:
     """0-based suffix array of ``s`` by SA-IS (Nong, Zhang & Chan, DCC 2009).
 
     ``s`` ends with its only 0; its other symbols lie in ``1..k-1``.  The
-    induce passes write into Python lists, about 40 bytes a slot with the
-    int object it holds; ``array('i')`` would take 4, but it made builds of
-    Fibonacci words (``fib:27``, and the edited words ``verify`` builds)
-    5-20% slower.  What lives beside those lists is kept small: the LMS
-    positions are an ``array('i')``, the first pass's list is cut to its
-    LMS positions before ``name`` is allocated, and ``name`` and the
-    recursion's order are freed before the final pass.  The peak, one
-    pass's list over ``s``, is about 55 bytes a symbol.
+    LMS substrings are named by one sort, not by an induce pass: SA-IS
+    orders them as their sequences of (symbol, type) pairs, S above L at
+    equal symbols, and ``2 * symbol + type`` packed big-endian into one
+    bytes buffer makes that order the bytes order of their slices.  No
+    LMS substring is a proper prefix of another (where the shorter ends,
+    the longer would hold an LMS position too), so ``memcmp`` decides.
+    Only the final induce pass remains.  It writes into a Python list,
+    about 40 bytes a slot with the int object it holds; ``array('i')``
+    would take 4, but it made builds of Fibonacci words 5-20% slower.  The
+    LMS positions and their order are freed once placed, so the traced
+    peak is that list beside ``s`` on random ``acgt`` and Fibonacci words,
+    about 49-53 bytes a symbol; over all 256 byte values it is about 67, in
+    the recursion, whose bucket lists hold an int object per reduced symbol.
     """
     n = len(s)
     # stype[i] is 1 when suffix i is S-type (smaller than suffix i+1), 0 when L-type.
@@ -157,61 +163,53 @@ def _sais(s: list[int], k: int) -> list[int]:
         next_c = c
     # LMS positions: S-type with an L-type left neighbour (stype[i] > stype[i - 1]);
     # the sentinel is the last.
-    is_lms = bytearray(1)
-    is_lms += bytes(map(gt, stype[1:], stype))
-    lms = array("i", compress(range(n), is_lms))
+    lms = array("i", compress(range(1, n), map(gt, stype[1:], stype)))
+    m = len(lms)
+
+    # A substring reaches up to and including the next LMS position; the
+    # sentinel's is its own code alone, the smallest key of all.
+    codes = array("I", map(add, map(add, s, s), stype))
+    if sys.byteorder == "little":
+        codes.byteswap()
+    w = codes.itemsize
+    buf = codes.tobytes()
+    del codes
+    keys = [buf[w * a : w * b + w] for a, b in zip(lms, lms[1:])]
+    keys.append(buf[w * (n - 1) :])
+    del buf
+    order = sorted(range(m), key=keys.__getitem__)
+    names = [0] * m  # names[i] is the name of the i-th LMS substring in text order
+    last, prev = -1, None
+    for i in order:
+        key = keys[i]
+        if key != prev:
+            last += 1
+            prev = key
+        names[i] = last
+    del keys
+    if last + 1 < m:  # repeated names: sort the reduced string of names
+        del order
+        order = _sais(names, last + 1)
+    del names
+
+    # Place the LMS suffixes at their bucket ends in sorted order, then induce
+    # the L-type suffixes left to right and the S-type suffixes right to left.
+    # Both passes iterate over sa while writing into it: every write lands
+    # ahead of the iterator, which reads each slot when it reaches it.
     counts = [0] * k
     for c in s:
         counts[c] += 1
-    tails = list(accumulate(counts))  # the bucket of symbol c is sa[heads[c]:tails[c]]
-    heads = [t - c for t, c in zip(tails, counts)]
+    tails = list(accumulate(counts))  # the bucket of symbol c is sa[head[c]:tails[c]]
+    head = [t - c for t, c in zip(tails, counts)]
     del counts
-
-    # Sort the LMS substrings by one induce pass and keep only the LMS
-    # positions of it, then name them by rank; a substring reaches up to and
-    # including the next LMS position.
-    sa = [p for p in _induce(s, stype, lms, heads, tails) if is_lms[p]]
-    del is_lms
-    name = [0] * n  # substring end while naming, then the name
-    for a, b in zip(lms, lms[1:]):
-        name[a] = b + 1
-    name[n - 1] = n
-    last, prev = -1, None
-    for p in sa:
-        sub = s[p : name[p]]
-        if sub != prev:
-            last += 1
-            prev = sub
-        name[p] = last
-    if last + 1 == len(lms):  # all names distinct: sa already holds the LMS suffix order
-        lms = array("i", sa)
-        del sa, name
-    else:
-        reduced = [name[p] for p in lms]
-        del sa, name
-        order = _sais(reduced, last + 1)
-        del reduced
-        lms = array("i", [lms[i] for i in order])
-        del order
-    return _induce(s, stype, lms, heads, tails)
-
-
-def _induce(
-    s: list[int], stype: bytearray, lms: array, heads: list[int], tails: list[int]
-) -> list[int]:
-    """Place ``lms`` at their bucket ends in the given order, then induce the
-    L-type suffixes left to right and the S-type suffixes right to left.
-
-    Both passes iterate over ``sa`` while writing into it: every write lands
-    ahead of the iterator, which reads each slot when it reaches it.
-    """
-    sa = [-1] * len(s)
+    sa = [-1] * n
     tail = tails[:]
-    for p in reversed(lms):
+    for i in reversed(order):
+        p = lms[i]
         c = s[p]
         tail[c] -= 1
         sa[tail[c]] = p
-    head = heads[:]
+    del lms, order
     for p in sa:
         if p > 0:
             p -= 1
@@ -219,7 +217,7 @@ def _induce(
                 c = s[p]
                 sa[head[c]] = p
                 head[c] += 1
-    tail = tails[:]
+    tail = tails
     for p in reversed(sa):
         if p > 0:
             p -= 1

@@ -198,9 +198,11 @@ def test_decode_rejects_bad_source():
         ((Explicit("a"), Copy(1.0, 1)), 2, "copy phrase at 2 has length 1.0"),
         ((Explicit("a"), Copy(1, True)), 2, "copy phrase at 2 of length 1 has source True"),
         ((Explicit("a"), Explicit("b"), Explicit("a")), 2, "phrase lengths sum to 3, expected 2"),
+        (((1, 1),), 1, "phrase at 1 is 'tuple', neither Explicit nor Copy"),
+        ((Explicit("a"), "b"), 2, "phrase at 2 is 'str', neither Explicit nor Copy"),
     ],
     ids=["n-zero", "n-bool", "n-float", "symbol-outside", "two-symbols", "length-zero",
-         "length-float", "source-bool", "lengths-sum"],
+         "length-float", "source-bool", "lengths-sum", "tuple-phrase", "str-phrase"],
 )
 def test_malformed_parse_cannot_be_built(phrases, n, message):
     with pytest.raises(MalformedParseError) as exc:

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from conftest import all_binary_strings, assert_lcp_matches_direct_scans, random_text
+from lexparse import suffixes
 from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.closedforms import edited_sa_prefix
 from lexparse.fibwords import edited_fib, fib_length, fibonacci
-from lexparse.suffixes import build_suffix_array, build_suffix_array_naive
+from lexparse.suffixes import _sais, build_suffix_array, build_suffix_array_naive
 
 ORD_AB = AlphabetOrdering.from_string("ab")
 ORD_BA = AlphabetOrdering.from_string("ba")
@@ -129,6 +130,75 @@ def test_sais_matches_naive_over_all_256_byte_values():
     forward = AlphabetOrdering(tuple(chr(c) for c in range(256)))
     assert_matches_naive(w)  # the default ordering is code-point order: forward
     assert_matches_naive(w, AlphabetOrdering(forward.symbols[::-1]))
+
+
+def lms_substrings(s):
+    """The LMS substrings of ``s`` as (symbol, type) tuples, by definition,
+    each up to and including the next LMS position."""
+    n = len(s)
+    stype = [True] * n
+    for i in range(n - 2, -1, -1):
+        stype[i] = s[i] < s[i + 1] or (s[i] == s[i + 1] and stype[i + 1])
+    lms = [i for i in range(1, n) if stype[i] and not stype[i - 1]]
+    ends = lms[1:] + [n - 1]
+    return [tuple(zip(s[a : b + 1], stype[a : b + 1])) for a, b in zip(lms, ends)]
+
+
+def sais_levels(monkeypatch, s, k):
+    """``_sais(s, k)`` checked against a full sort of the suffixes of ``s``;
+    returns how many levels it ran, the top one included."""
+    calls = []
+
+    def counted(s, k):
+        calls.append(len(s))
+        return _sais(s, k)
+
+    monkeypatch.setattr(suffixes, "_sais", counted)
+    assert suffixes._sais(s, k) == sorted(range(len(s)), key=lambda i: s[i:])
+    return len(calls)
+
+
+def test_sais_names_distinct_lms_substrings(monkeypatch):
+    # distinct symbols make every LMS substring distinct: the sort's order is final
+    rng = random.Random(11)
+    for n in (2, 3, 10, 500):
+        s = rng.sample(range(1, n), n - 1) + [0]
+        subs = lms_substrings(s)
+        assert len(set(subs)) == len(subs)
+        assert sais_levels(monkeypatch, s, n) == 1
+
+
+def test_sais_recurses_on_repeated_names(monkeypatch):
+    # Fibonacci words repeat their LMS substrings at every level
+    for k in (12, 16):
+        s = [1 + (c == "b") for c in fibonacci(k)] + [0]
+        subs = lms_substrings(s)
+        assert len(set(subs)) < len(subs)
+        assert sais_levels(monkeypatch, s, 3) >= 3
+
+
+def test_sais_over_an_alphabet_wider_than_two_bytes(monkeypatch):
+    # codes 2 * symbol + type reach 139,999: three significant bytes.  The
+    # symbols straddle byte boundaries and repeat, so the keys' byte order
+    # decides the names and many LMS suffixes share a bucket
+    rng = random.Random(70_000)
+    k = 70_000
+    pool = (1, 2, 255, 256, 257, 511, 512, 65_535, 65_536, 65_537, 69_998, 69_999)
+    s = rng.choices(pool, k=3_000) + [0]
+    assert sais_levels(monkeypatch, s, k) >= 2
+
+
+def test_suffix_array_of_random_bytes_is_sorted():
+    # 200,000 symbols: past what the quadratic oracle can sort, with codes
+    # above one byte; suffixes compare on 32-symbol slices, fully on a tie
+    rng = random.Random(200_000)
+    text = "".join(map(chr, rng.choices(range(256), k=200_000)))
+    sa = build_suffix_array(text)
+    starts = [p - 1 for p in sa.sa]
+    assert sorted(starts) == list(range(len(text)))
+    for p, q in zip(starts, starts[1:]):
+        a, b = text[p : p + 32], text[q : q + 32]
+        assert a < b or (a == b and text[p:] < text[q:]), (p, q)
 
 
 def test_ordering_absorbed_by_renaming():
