@@ -14,15 +14,20 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
+from itertools import count, repeat
 
 from .alphabet import AlphabetOrdering
 from .fibwords import DEFAULT_MAX_N, FibSpec, fib_length
 from .parse import (
-    Explicit,
+    _HEADER,
+    _LINE_BREAKS,
     _decimal,
     _declared_n,
+    _escape_symbol,
     _json_leading_ns,
+    _read_lines,
     decode,
     from_dict,
     from_lines,
@@ -74,16 +79,36 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--gen", help="generator spec: <fib|gib|T|phi>:<k>")
 
 
-def _read(path: str | None, size: int = -1) -> str:
-    """Raw bytes of ``path`` (stdin when None), mapped symbol-for-byte; with
-    ``size`` >= 0, at most that many bytes of ``path``."""
+def _read(path: str | None, size: int) -> str:
+    """At most ``size`` raw bytes of ``path`` (stdin when None), mapped
+    symbol-for-byte."""
     if path is None:
-        return sys.stdin.buffer.read().decode("latin-1")
+        return _read_from(sys.stdin.buffer, size)
     try:
         with open(path, "rb") as fh:
-            return fh.read(size).decode("latin-1")
+            return _read_from(fh, size)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
+
+
+def _read_from(fh, size: int) -> str:
+    """A read reserves memory for every byte it asks for, so a regular file is
+    first asked for its own size and one byte more, and any other input (a
+    pipe, a terminal), or a file that has grown, a megabyte at a time."""
+    chunk = 1 << 20
+    try:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            chunk = max(info.st_size - fh.tell(), 0) + 1
+    except (OSError, ValueError):  # no file descriptor behind fh
+        pass
+    data = fh.read(min(chunk, size))
+    if len(data) < chunk:  # the input's end, or all the bytes asked for
+        return data.decode("latin-1")
+    buf = bytearray(data)
+    while len(buf) < size and (data := fh.read(min(1 << 20, size - len(buf)))):
+        buf += data
+    return buf.decode("latin-1")
 
 
 def _resolve_text(args: argparse.Namespace) -> str:
@@ -137,11 +162,15 @@ def _ratio_str(r) -> str:
     return f"{r.numerator}/{r.denominator} ({float(r):.3f})"
 
 
+def _json_text(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
+
+
 def _render(args: argparse.Namespace, report) -> int:
     """Write one report, built for ``args.format`` alone: a dict as JSON, a
     (header, rows) pair as CSV, or a list of lines as the human-readable text."""
     if args.format == "json":
-        payload = json.dumps(report, indent=2) + "\n"
+        payload = _json_text(report)
     elif args.format == "csv":
         header, rows = report
         buf = io.StringIO()
@@ -167,9 +196,10 @@ def _cmd_parse(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.format == "json":
         return _render(args, to_dict(parse))
+    lengths, sources = parse.columns
     rows = [
-        [idx, start, length, *(("E", "") if isinstance(ph, Explicit) else ("C", ph.source))]
-        for idx, ((start, length), ph) in enumerate(zip(parse.spans(), parse.phrases), 1)
+        [idx, start, length, *(("E", "") if type(source) is str else ("C", source))]
+        for idx, start, length, source in zip(count(1), parse.starts(), lengths, sources)
     ]
     if args.format == "csv":
         return _render(args, (["index", "start", "length", "kind", "source"], rows))
@@ -335,20 +365,59 @@ def _refuse_over_cap(n: int | None, cap: int) -> None:
         )
 
 
+def _payload_limit(cap: int) -> int:
+    """The most bytes ``parse --format lexparse`` or ``--format json`` writes for
+    a text of at most ``cap`` symbols.  Each part of a payload is counted at
+    its longest: the header with all 256 byte symbols in the ordering, and
+    ``cap`` records, each as long as the longer of a copy whose length and
+    source have the digits of ``cap`` and an explicit phrase of the symbol
+    with the longest escape."""
+    symbols = "".join(map(chr, range(256)))
+    escaped = list(map(_escape_symbol, symbols))
+    record = max(len(f"E {max(escaped, key=len)}"), len(f"C {cap} {cap}")) + 1
+    lines = len(f"{_HEADER} {cap} {''.join(escaped)}\n") + cap * record
+
+    def json_bytes(records: list) -> int:
+        return len(_json_text(
+            {"format": "lexparse", "n": cap, "ordering": symbols, "v": cap, "phrases": records}
+        ))
+
+    explicit = ["E", max(symbols, key=lambda c: len(json.dumps(c)))]
+    as_json = max(
+        json_bytes([r]) + (cap - 1) * (json_bytes([r, r]) - json_bytes([r]))
+        for r in (explicit, ["C", cap, cap])
+    )
+    return max(lines, as_json)
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
     cap = _max_n()
-    payload = _read(args.file)
+    limit = _payload_limit(cap)
+    payload = _read(args.file, limit + 1)
     try:
         # Refuse an oversized parse on its declared n, before reading any record;
         # a JSON object's "n" ahead of "phrases" is read before they are decoded.
-        if payload.lstrip().startswith("{"):
-            for n in _json_leading_ns(payload):
-                _refuse_over_cap(n, cap)
-            serialized, read = json.loads(payload), from_dict
+        is_json = payload.lstrip().startswith("{")
+        for n in _json_leading_ns(payload) if is_json else (_declared_n(payload),):
+            _refuse_over_cap(n, cap)
+        if len(payload) > limit:
+            # A fault on a line that ends within the limit is reported first, as it
+            # would be on the whole payload: a bad header or record, or a record past n.
+            if not is_json:
+                head = payload[: max(map(payload.rfind, _LINE_BREAKS, repeat(0), repeat(limit))) + 1]
+                if head and not head.isspace():
+                    _read_lines(head)
+            raise ValueError(
+                f"the payload is longer than {limit} bytes, the most a parse of at most "
+                f"{cap} symbols takes (raise LEXPARSE_MAX_N to allow it)"
+            )
+        if is_json:
+            obj = json.loads(payload)
+            _refuse_over_cap(_declared_n(obj), cap)
+            parse = from_dict(obj)
         else:
-            serialized, read = payload, from_lines
-        _refuse_over_cap(_declared_n(serialized), cap)
-        text = decode(read(serialized))
+            parse = from_lines(payload)
+        text = decode(parse)
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"cannot decode parse: {exc}") from None
     _emit(text + ("\n" if args.out is None else ""), args.out)

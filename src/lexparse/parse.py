@@ -6,6 +6,13 @@ prefix is empty the phrase is a single explicit symbol.  The phrase sequence
 is a bidirectional macro scheme: copy sources may lie to the right of the
 phrase, and decoding resolves per-position reference chains, which terminate
 because every hop moves to a lexicographically smaller suffix.
+
+A :class:`LexParse` holds its phrases as two columns of equal length,
+``lengths`` and ``sources``: a copy phrase is its length and its 1-based
+source, an explicit phrase is the length 1 and its one-character symbol.
+The walk, the readers, the writers and :func:`decode` work on the columns;
+:class:`Explicit` and :class:`Copy` objects are built only when
+``LexParse.phrases`` is asked for.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import accumulate, islice
 from typing import Iterator, Union
 
 from .alphabet import AlphabetOrdering
@@ -47,74 +55,181 @@ class Copy:
 Phrase = Union[Explicit, Copy]
 
 
-@dataclass(frozen=True)
+class _Misfit:
+    """A phrase that the source column cannot hold as it is, kept there for the
+    validation to name its fault.  ``kind`` is :class:`Explicit` for a symbol
+    that is not a ``str``, :class:`Copy` for a source that is one (either would
+    read as the other kind), and None for an object that is no phrase."""
+
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: type | None, value: object) -> None:
+        self.kind = kind
+        self.value = value
+
+
+def _check(lengths: tuple, sources: tuple, n: object, ordering: AlphabetOrdering) -> None:
+    """Raise :class:`MalformedParseError` at the first breach of :class:`LexParse`'s
+    rules by phrase columns that a converter built (an explicit phrase has
+    length 1 there)."""
+    if type(n) is not int or n < 1:
+        raise MalformedParseError(f"text length {n!r} is not an integer >= 1")
+    symbols = set(ordering.symbols)
+    pos = 1
+    for length, source in zip(lengths, sources):
+        if type(source) is str:
+            if source not in symbols:
+                raise _explicit_fault(pos, source, ordering)
+        elif (
+            type(length) is not int
+            or length < 1
+            or type(source) is not int
+            or not 1 <= source <= n - length + 1
+        ):
+            raise _fault(pos, length, source, n, ordering)
+        pos += length
+    if pos - 1 != n:
+        raise MalformedParseError(f"phrase lengths sum to {pos - 1}, expected {n}")
+
+
+def _explicit_fault(pos: int, symbol: object, ordering: AlphabetOrdering) -> MalformedParseError:
+    return MalformedParseError(
+        f"explicit phrase at {pos} holds {symbol!r}, not a symbol of the ordering {ordering.spec!r}"
+    )
+
+
+def _fault(
+    pos: int, length: object, source: object, n: int, ordering: AlphabetOrdering
+) -> MalformedParseError:
+    """The fault of a column entry that is neither a symbol nor a well-formed copy."""
+    if type(source) is _Misfit:
+        if source.kind is Explicit:
+            return _explicit_fault(pos, source.value, ordering)
+        if source.kind is None:
+            return MalformedParseError(
+                f"phrase at {pos} is {type(source.value).__name__!r}, neither Explicit nor Copy"
+            )
+        source = source.value
+    if type(length) is not int or length < 1:
+        return MalformedParseError(f"copy phrase at {pos} has length {length!r}")
+    return MalformedParseError(
+        f"copy phrase at {pos} of length {length} has source {source!r} "
+        f"outside [1..{n - length + 1}]"
+    )
+
+
 class LexParse:
     """An ordered phrase sequence covering a text of length ``n``, well formed by construction.
 
     ``n`` is an exact ``int`` >= 1 (not a ``bool``, a ``float`` or a numeric
-    string); an explicit phrase holds one symbol of the ordering; a copy
-    phrase has an exact-``int`` length >= 1 and a source with
+    string); an explicit phrase holds one symbol of the ordering, a ``str``;
+    a copy phrase has an exact-``int`` length >= 1 and a source with
     ``1 <= source <= n - length + 1``; the phrase lengths sum to ``n``.
     Construction raises :class:`MalformedParseError` on a breach of these
     rules.  Reference cycles are the one fault left to :func:`decode`.
+
+    ``LexParse(phrases, n, ordering)`` takes a sequence of :class:`Explicit`
+    and :class:`Copy`.  The parse holds them as the tuples of
+    :attr:`columns`; ``phrases`` builds the phrase objects on first use.  A
+    parse is immutable and hashable, and parses compare equal when their
+    ``n``, ordering and columns do.
     """
 
-    phrases: tuple[Phrase, ...]
-    n: int
-    ordering: AlphabetOrdering
+    __slots__ = ("n", "ordering", "_lengths", "_sources", "_phrases")
 
-    def __post_init__(self) -> None:
-        n = self.n
-        if type(n) is not int or n < 1:
-            raise MalformedParseError(f"text length {n!r} is not an integer >= 1")
-        symbols = set(self.ordering.symbols)
-        pos = 1
-        for ph in self.phrases:
+    def __init__(self, phrases: tuple[Phrase, ...], n: int, ordering: AlphabetOrdering) -> None:
+        phrases = tuple(phrases)
+        lengths, sources = [], []
+        for ph in phrases:
             if isinstance(ph, Explicit):
-                if not (isinstance(ph.symbol, str) and ph.symbol in symbols):
-                    raise MalformedParseError(
-                        f"explicit phrase at {pos} holds {ph.symbol!r}, "
-                        f"not a symbol of the ordering {self.ordering.spec!r}"
-                    )
-                pos += 1
-                continue
-            try:
-                length, source = ph.length, ph.source
-            except AttributeError:
-                raise MalformedParseError(
-                    f"phrase at {pos} is {type(ph).__name__!r}, neither Explicit nor Copy"
-                ) from None
-            if type(length) is not int or length < 1:
-                raise MalformedParseError(f"copy phrase at {pos} has length {length!r}")
-            if type(source) is not int or not 1 <= source <= n - length + 1:
-                raise MalformedParseError(
-                    f"copy phrase at {pos} of length {length} has source {source!r} "
-                    f"outside [1..{n - length + 1}]"
-                )
-            pos += length
-        if pos - 1 != n:
-            raise MalformedParseError(f"phrase lengths sum to {pos - 1}, expected {n}")
+                length = 1
+                source = ph.symbol if type(ph.symbol) is str else _Misfit(Explicit, ph.symbol)
+            else:
+                try:
+                    length, source = ph.length, ph.source
+                except AttributeError:
+                    length, source = 1, _Misfit(None, ph)
+                else:
+                    if isinstance(source, str):
+                        source = _Misfit(Copy, source)
+            lengths.append(length)
+            sources.append(source)
+        self._set(tuple(lengths), tuple(sources), n, ordering, phrases)
+
+    @classmethod
+    def _from_columns(
+        cls, lengths: tuple, sources: tuple, n: int, ordering: AlphabetOrdering
+    ) -> LexParse:
+        parse = cls.__new__(cls)
+        parse._set(lengths, sources, n, ordering, None)
+        return parse
+
+    def _set(self, lengths: tuple, sources: tuple, n: int, ordering, phrases) -> None:
+        _check(lengths, sources, n, ordering)
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "ordering", ordering)
+        init(self, "_lengths", lengths)
+        init(self, "_sources", sources)
+        init(self, "_phrases", phrases)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self)._from_columns, (*self.columns, self.n, self.ordering))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.ordering, self._lengths, self._sources) == (
+            other.n, other.ordering, other._lengths, other._sources
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.ordering, self._lengths, self._sources))
+
+    def __repr__(self) -> str:
+        return f"LexParse(phrases={self.phrases!r}, n={self.n!r}, ordering={self.ordering!r})"
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], tuple[int | str, ...]]:
+        """The phrase lengths and the phrase sources: a copy's 1-based source
+        ``int``, or an explicit phrase's symbol ``str``."""
+        return self._lengths, self._sources
+
+    @property
+    def phrases(self) -> tuple[Phrase, ...]:
+        """The phrases as :class:`Explicit` and :class:`Copy` objects."""
+        phrases = self._phrases
+        if phrases is None:
+            phrases = tuple(
+                Explicit(source) if type(source) is str else Copy(length, source)
+                for length, source in zip(self._lengths, self._sources)
+            )
+            object.__setattr__(self, "_phrases", phrases)
+        return phrases
 
     @property
     def v(self) -> int:
         """Number of phrases."""
-        return len(self.phrases)
+        return len(self._lengths)
 
     def starts(self) -> list[int]:
         """1-based start position of each phrase."""
-        out = []
-        pos = 1
-        for ph in self.phrases:
-            out.append(pos)
-            pos += ph.length
-        return out
+        starts = list(accumulate(self._lengths, initial=1))
+        starts.pop()
+        return starts
 
     def spans(self) -> list[tuple[int, int]]:
         """(start, length) of each phrase, 1-based."""
-        return [(s, p.length) for s, p in zip(self.starts(), self.phrases)]
+        return list(zip(self.starts(), self._lengths))
 
     def lengths(self) -> list[int]:
-        return [p.length for p in self.phrases]
+        return list(self._lengths)
 
 
 def phrase_strings(parse: LexParse, text: str) -> list[str]:
@@ -138,7 +253,8 @@ def lex_parse(
     a random text end, and past that by one longest-common-extension query
     over slice comparisons (:func:`lexparse.textops._lce`), which crosses
     the long phrases of repetitive texts in O(log length) slices.  The walk
-    never needs the suffix array's LCP array.
+    never needs the suffix array's LCP array.  It writes the phrase columns
+    directly and builds no phrase object.
     """
     if sa is None:
         sa = build_suffix_array(text, ordering)
@@ -146,7 +262,9 @@ def lex_parse(
         raise ValueError("suffix array does not match the given text/ordering")
     n = sa.n
     starts, rank = sa.sa, sa.rank
-    phrases: list[Phrase] = []
+    lengths: list[int] = []
+    sources: list[int | str] = []
+    add_length, add_source = lengths.append, sources.append
     i = 0  # 0-based start of the next phrase
     while i < n:
         r = rank[i]
@@ -160,13 +278,14 @@ def lex_parse(
                 l += 1
             if l == _SCAN:
                 l += _lce(text, i + _SCAN, text, j + _SCAN)
-        if l == 0:
-            phrases.append(Explicit(text[i]))
-            i += 1
+        if l:
+            add_source(j + 1)
         else:
-            phrases.append(Copy(l, j + 1))
-            i += l
-    return LexParse(tuple(phrases), n, sa.ordering)
+            l = 1
+            add_source(text[i])
+        add_length(l)
+        i += l
+    return LexParse._from_columns(tuple(lengths), tuple(sources), n, sa.ordering)
 
 
 def v_count(text: str, ordering: AlphabetOrdering | None = None) -> int:
@@ -222,13 +341,14 @@ def decode(parse: LexParse) -> str:
     out: list[str | None] = [None] * (n + 1)
     ref = array("i", bytes(4 * (n + 1)))
     pos = 1
-    for ph in parse.phrases:
-        if isinstance(ph, Explicit):
-            out[pos] = ph.symbol
-            pos += 1
+    for length, source in zip(*parse.columns):
+        if type(source) is str:
+            out[pos] = source
+        elif length == 1:
+            ref[pos] = source
         else:
-            ref[pos : pos + ph.length] = array("i", range(ph.source, ph.source + ph.length))
-            pos += ph.length
+            ref[pos : pos + length] = array("i", range(source, source + length))
+        pos += length
     for p in range(1, n + 1):
         if out[p] is not None:
             continue
@@ -255,11 +375,28 @@ def decode(parse: LexParse) -> str:
 # phrase: "E <symbol>" or "C <length> <source>".  Symbols are bytes
 # (U+0000..U+00FF); those outside printable ASCII (and backslash/space) are
 # escaped as \xNN so the format stays line-oriented for any byte alphabet.
+# Lines end at any of the line breaks of str.splitlines; lines of whitespace
+# alone are skipped; the fields of a line are separated by runs of the other
+# whitespace characters (those of str.isspace, which re's \s matches).
 
 _HEADER = "LEXPARSE"
-# The line breaks of str.splitlines, matched lazily so that a payload is read
-# only as far as its first fault.
-_LINE = re.compile("[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]+")
+# The line breaks of str.splitlines, each of them whitespace.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK = f"[{_LINE_BREAKS}]"
+_NOT_BREAK = f"[^{_LINE_BREAKS}]"
+_SPACE = f"[^\\S{_LINE_BREAKS}]"  # whitespace within a line
+# One line a match, past the line breaks and blank lines ahead of it, in
+# group 1: the header, then one record a match.  A copy record in plain
+# digits and an explicit record of one unescaped symbol are read by the
+# pattern; any other line (an escaped symbol, junk, trailing whitespace) is
+# group 1 alone.  The matches tile the payload: a search only skips
+# whitespace at its end.
+_RECORD = re.compile(
+    rf"(?:\s*{_BREAK})?("
+    rf"{_SPACE}*(?:C{_SPACE}+([0-9]+){_SPACE}+([0-9]+)|E{_SPACE}+(?:([^\s\\])|(\S+)))"
+    rf"{_SPACE}*(?={_BREAK}|\Z)"
+    rf"|{_NOT_BREAK}+)"
+)
 
 
 def _escape_symbol(c: str) -> str:
@@ -303,25 +440,25 @@ def to_lines(parse: LexParse) -> str:
     """Serialize a parse to the line-record format; every symbol must be a byte (<= U+00FF)."""
     ordering = "".join(_escape_symbol(c) for c in parse.ordering.symbols)
     lines = [f"{_HEADER} {parse.n} {ordering}"]
-    for ph in parse.phrases:
-        if isinstance(ph, Explicit):
-            lines.append(f"E {_escape_symbol(ph.symbol)}")
+    for length, source in zip(*parse.columns):
+        if type(source) is str:
+            lines.append(f"E {_escape_symbol(source)}")
         else:
-            lines.append(f"C {ph.length} {ph.source}")
+            lines.append(f"C {length} {source}")
     return "\n".join(lines) + "\n"
 
 
-def _header(serialized: str) -> tuple[str, Iterator[str]]:
+def _header(serialized: str) -> tuple[str, int]:
     """The header line of the line-record format, checked to hold three fields,
-    and the lines after it."""
-    lines = (m[0] for m in _LINE.finditer(serialized) if not m[0].isspace())
-    ln = next(lines, None)
-    if ln is None:
+    and where it ends."""
+    m = _RECORD.match(serialized)
+    if m is None or m[1].isspace():
         raise MalformedParseError("empty serialization")
+    ln = m[1]
     head = ln.split()
     if len(head) != 3 or head[0] != _HEADER:
         raise MalformedParseError(f"bad header {ln!r}")
-    return ln, lines
+    return ln, m.end()
 
 
 def _declared_n(serialized: str | dict) -> int | None:
@@ -370,70 +507,92 @@ def _json_leading_ns(payload: str) -> Iterator[int]:
             return
 
 
+def _read_lines(serialized: str) -> tuple[int, AlphabetOrdering, tuple, tuple]:
+    """The declared ``n``, the ordering and the phrase columns of the line
+    records, read up to the first record past ``n``.  A fault of the header or
+    of a record is raised where it is met; the rules of :class:`LexParse` are
+    left to its validation."""
+    ln, end = _header(serialized)
+    head = ln.split()
+    lengths: list[int] = []
+    sources: list[int | str] = []
+    add_length, add_source = lengths.append, sources.append
+    try:
+        n = _decimal(head[1])
+        ordering = AlphabetOrdering(tuple(_unescape_symbols(head[2])))
+        # islice takes no count past sys.maxsize; a payload has fewer records than characters.
+        records = _RECORD.finditer(serialized, end)
+        for ln, length, source, symbol, escaped in map(
+            re.Match.groups, islice(records, min(n, len(serialized)))
+        ):
+            if length:
+                add_length(int(length))
+                add_source(int(source))
+            elif symbol or escaped:
+                add_length(1)
+                add_source(symbol or "".join(_unescape_symbols(escaped)))
+            elif not ln.isspace():
+                fields = ln.split()
+                if len(fields) == 3 and fields[0] == "C":  # a copy record says which number is bad
+                    _decimal(fields[1])
+                    _decimal(fields[2])
+                raise ValueError("not a phrase record")
+        for m in records:
+            ln = m[1]
+            if not ln.isspace():
+                raise ValueError(f"more phrase records than the {n} declared symbols")
+    except ValueError as exc:
+        raise MalformedParseError(f"bad line {ln!r}: {exc}") from None
+    return n, ordering, tuple(lengths), tuple(sources)
+
+
 def from_lines(serialized: str) -> LexParse:
     """Parse the line-record format back into a :class:`LexParse`.
 
     Every phrase covers at least one symbol, so reading stops at the first
     record past the declared ``n``.
     """
-    ln, lines = _header(serialized)
-    head = ln.split()
-    phrases: list[Phrase] = []
-    try:
-        n = _decimal(head[1])
-        ordering = AlphabetOrdering(tuple(_unescape_symbols(head[2])))
-        for ln in lines:
-            if len(phrases) == n:
-                raise ValueError(f"more phrase records than the {n} declared symbols")
-            match ln.split():
-                case ["E", symbol]:
-                    phrases.append(Explicit("".join(_unescape_symbols(symbol))))
-                case ["C", length, source]:
-                    phrases.append(Copy(_decimal(length), _decimal(source)))
-                case _:
-                    raise ValueError("not a phrase record")
-    except ValueError as exc:
-        raise MalformedParseError(f"bad line {ln!r}: {exc}") from None
-    return LexParse(tuple(phrases), n, ordering)
+    n, ordering, lengths, sources = _read_lines(serialized)
+    return LexParse._from_columns(lengths, sources, n, ordering)
 
 
 def to_dict(parse: LexParse) -> dict:
     """JSON-ready dictionary form of a parse."""
-    phrases: list[list] = []
-    for ph in parse.phrases:
-        if isinstance(ph, Explicit):
-            phrases.append(["E", ph.symbol])
-        else:
-            phrases.append(["C", ph.length, ph.source])
     return {
         "format": "lexparse",
         "n": parse.n,
         "ordering": "".join(parse.ordering.symbols),
         "v": parse.v,
-        "phrases": phrases,
+        "phrases": [
+            ["E", source] if type(source) is str else ["C", length, source]
+            for length, source in zip(*parse.columns)
+        ],
     }
 
 
 def from_dict(obj: dict) -> LexParse:
     """Inverse of :func:`to_dict`; like :func:`from_lines`, it stops at the first
     record past the declared ``n``."""
-    phrases: list[Phrase] = []
+    lengths: list = []
+    sources: list = []
     try:
         records, n = obj["phrases"], obj["n"]
         for rec in records:
-            if len(phrases) == n:
+            if len(lengths) == n:
                 raise ValueError(f"more phrase records than the {n} declared symbols")
             match rec:
                 case ["E", symbol]:
-                    phrases.append(Explicit(symbol))
+                    lengths.append(1)
+                    sources.append(symbol if type(symbol) is str else _Misfit(Explicit, symbol))
                 case ["C", length, source]:
-                    phrases.append(Copy(length, source))
+                    lengths.append(length)
+                    sources.append(_Misfit(Copy, source) if isinstance(source, str) else source)
                 case _:
                     raise ValueError(f"bad phrase record {rec!r}")
         ordering = AlphabetOrdering.from_string(obj["ordering"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedParseError(f"bad parse object: {exc}") from None
-    return LexParse(tuple(phrases), n, ordering)
+    return LexParse._from_columns(tuple(lengths), tuple(sources), n, ordering)
 
 
 def lz77_count(text: str) -> int:

@@ -1,10 +1,11 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import re
 from fractions import Fraction
 
-from lexparse.alphabet import all_orderings
-from lexparse.parse import v_count
+from lexparse.alphabet import AlphabetOrdering, all_orderings
+from lexparse.parse import Copy, Explicit, LexParse, MalformedParseError, v_count
 from lexparse.sensitivity import AOSensitivityReport
 from lexparse.textops import edit_candidates
 
@@ -71,3 +72,64 @@ def ao_scan_oracle(text):
         argmax=next(k for k, v in per.items() if v == max_v),
         argmin=next(k for k, v in per.items() if v == min_v),
     )
+
+
+# The line breaks of str.splitlines, matched lazily so that a payload is read
+# only as far as its first fault.
+_LINE = re.compile("[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]+")
+
+
+def _oracle_unescape(s):
+    out = []
+    i = 0
+    while i < len(s):
+        if s[i] == "\\":
+            if s[i : i + 2] == "\\\\":
+                out.append("\\")
+                i += 2
+            elif s[i + 1 : i + 2] == "x" and re.fullmatch("[0-9a-fA-F]{2}", h := s[i + 2 : i + 4]):
+                out.append(chr(int(h, 16)))
+                i += 4
+            else:
+                raise MalformedParseError(f"bad escape in {s!r}")
+        else:
+            out.append(s[i])
+            i += 1
+    return out
+
+
+def _oracle_decimal(s):
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"{s!r} is not a plain decimal number")
+    return int(s)
+
+
+def from_lines_oracle(serialized):
+    """The line-record reader one line at a time: a ``_LINE`` match, a ``split``
+    and a ``match`` statement per record, building phrase objects.  The
+    independent oracle of :func:`lexparse.parse.from_lines`, which reads the
+    records with one regular expression into the parse's columns."""
+    lines = (m[0] for m in _LINE.finditer(serialized) if not m[0].isspace())
+    ln = next(lines, None)
+    if ln is None:
+        raise MalformedParseError("empty serialization")
+    head = ln.split()
+    if len(head) != 3 or head[0] != "LEXPARSE":
+        raise MalformedParseError(f"bad header {ln!r}")
+    phrases = []
+    try:
+        n = _oracle_decimal(head[1])
+        ordering = AlphabetOrdering(tuple(_oracle_unescape(head[2])))
+        for ln in lines:
+            if len(phrases) == n:
+                raise ValueError(f"more phrase records than the {n} declared symbols")
+            match ln.split():
+                case ["E", symbol]:
+                    phrases.append(Explicit("".join(_oracle_unescape(symbol))))
+                case ["C", length, source]:
+                    phrases.append(Copy(_oracle_decimal(length), _oracle_decimal(source)))
+                case _:
+                    raise ValueError("not a phrase record")
+    except ValueError as exc:
+        raise MalformedParseError(f"bad line {ln!r}: {exc}") from None
+    return LexParse(tuple(phrases), n, ordering)

@@ -1,12 +1,14 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
+from lexparse import cli
 from lexparse.cli import main
 from lexparse.fibwords import edited_fib, fibonacci
 from lexparse.parse import decode, from_dict, from_lines
@@ -358,6 +360,96 @@ def test_decode_stops_at_the_first_record_past_n(capsys, monkeypatch, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "") and err.count("\n") == 1, err
     assert err.startswith("error: cannot decode parse: bad line 'E a': more phrase records"), err
+
+
+class CountingBytes(io.BytesIO):
+    """Bytes that count how many of them were read."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
+
+
+TEN_SYMBOL_TEXTS = [
+    b"ababbaaba" + b"a",
+    b"aaaaaaaaaa",
+    b"\x00\x01\\ \t\n\x7f\x80\xa0\xff",  # every symbol escaped in both formats
+    bytes(range(246, 256)),
+]
+
+
+def test_decode_reads_what_both_writers_write_for_texts_at_the_cap(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("LEXPARSE_MAX_N", "10")
+    limit = cli._payload_limit(10)
+    text_path, parse_path = tmp_path / "text", tmp_path / "parse"
+    rng = random.Random(10)
+    texts = TEN_SYMBOL_TEXTS + [bytes(rng.choices(range(256), k=10)) for _ in range(40)]
+    for text in texts:
+        text_path.write_bytes(text)
+        for fmt in ("lexparse", "json"):
+            argv = ["parse", "--file", str(text_path), "--format", fmt, "--out", str(parse_path)]
+            assert run_cli(capsys, *argv) == (0, "", "")
+            assert len(parse_path.read_bytes()) <= limit, (text, fmt)
+            code, out, err = run_cli(capsys, "decode", "--file", str(parse_path))
+            assert (code, err) == (0, ""), err
+            assert out == text.decode("latin-1") + "\n"
+
+
+def test_decode_refuses_a_payload_one_byte_past_the_limit(capsys, monkeypatch, tmp_path):
+    # Padding is whitespace both readers skip; it is refused once it pushes a
+    # payload past the longest one the writers produce for texts at the cap.
+    monkeypatch.setenv("LEXPARSE_MAX_N", "10")
+    limit = cli._payload_limit(10)
+    text_path, parse_path = tmp_path / "text", tmp_path / "parse"
+    text_path.write_bytes(TEN_SYMBOL_TEXTS[2])
+    for fmt in ("lexparse", "json"):
+        run_cli(capsys, "parse", "--file", str(text_path), "--format", fmt, "--out", str(parse_path))
+        payload = parse_path.read_bytes()
+        path = tmp_path / "padded"
+        path.write_bytes(payload.ljust(limit))
+        code, out, err = run_cli(capsys, "decode", "--file", str(path))
+        assert (code, out, err) == (0, TEN_SYMBOL_TEXTS[2].decode("latin-1") + "\n", ""), fmt
+        for padded in (payload.ljust(limit + 1), payload.ljust(limit, b"\n") + b" "):
+            path.write_bytes(padded)
+            set_stdin(monkeypatch, padded)
+            for argv in (["decode", "--file", str(path)], ["decode"]):
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (2, ""), (fmt, argv)
+                assert err == (
+                    f"error: cannot decode parse: the payload is longer than {limit} bytes, the "
+                    "most a parse of at most 10 symbols takes (raise LEXPARSE_MAX_N to allow it)\n"
+                ), err
+
+
+def test_decode_reads_no_more_than_the_limit(capsys, monkeypatch, tmp_path):
+    # A 1 GB file (sparse: its blocks are not written) that declares n = 2 is
+    # refused at record 3, which lies in the first bytes, without being read
+    # whole; a payload that goes on with no fault past the limit is refused
+    # at it.
+    monkeypatch.setenv("LEXPARSE_MAX_N", "10")
+    limit = cli._payload_limit(10)
+    path = tmp_path / "payload"
+    for head, message in (
+        (b"LEXPARSE 2 a\nE a\nC 1 1\nC 1 1\n", "bad line 'C 1 1': more phrase records"),
+        (b"LEXPARSE 10 a\nE a\nC 9 1\n", f"the payload is longer than {limit} bytes"),
+    ):
+        with open(path, "wb") as fh:
+            fh.write(head)
+            fh.truncate(1 << 30)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "decode", "--file", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "") and err.count("\n") == 1, err
+        assert err.startswith(f"error: cannot decode parse: {message}"), err
+        stdin = CountingBytes(head + b" " * (10 * limit))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin, encoding="utf-8"))
+        code, out, err = run_cli(capsys, "decode")
+        assert (code, out) == (2, "") and err.startswith(f"error: cannot decode parse: {message}")
+        assert stdin.bytes_read == limit + 1
+    path.unlink()
 
 
 def test_out_write_errors_exit_2(capsys, tmp_path):

@@ -1,9 +1,12 @@
+import copy
 import json
+import pickle
 import random
+import re
 
 import pytest
 
-from conftest import all_binary_strings, random_text
+from conftest import all_binary_strings, from_lines_oracle, random_text
 from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.fibwords import edited_fib, fibonacci
 from lexparse.parse import (
@@ -104,7 +107,9 @@ def test_walk_does_not_compute_the_lcp_array():
 def test_matches_naive_oracle_exhaustive():
     for w in all_binary_strings(1, 12):
         for ordering in (ORD_AB, ORD_BA):
-            assert lex_parse(w, ordering) == lex_parse_naive(w, ordering)
+            p, q = lex_parse(w, ordering), lex_parse_naive(w, ordering)
+            assert p == q
+            assert p.phrases == q.phrases
 
 
 def test_matches_naive_oracle_random():
@@ -112,7 +117,9 @@ def test_matches_naive_oracle_random():
     for _ in range(150):
         w = random_text(rng, "abcd", 50)
         ordering = AlphabetOrdering(tuple(rng.sample(sorted(set(w)), len(set(w)))))
-        assert lex_parse(w, ordering) == lex_parse_naive(w, ordering)
+        p, q = lex_parse(w, ordering), lex_parse_naive(w, ordering)
+        assert p == q
+        assert p.phrases == q.phrases
 
 
 def test_walk_on_both_sides_of_its_scan_limit():
@@ -272,6 +279,137 @@ def test_line_records_hold_byte_symbols_only():
         to_lines(p)
     latin1 = "\xffb\xffb"
     assert decode(from_lines(to_lines(lex_parse(latin1)))) == latin1
+
+
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# The whitespace characters that are no line break: they separate a line's fields.
+FIELD_SPACES = "\t\x1f \xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000"
+
+
+def test_the_line_format_whitespace_facts():
+    # The reader's pattern relies on these: re's \s is str.isspace, the line
+    # breaks are those of str.splitlines and all of them are whitespace, and
+    # the rest of the whitespace is the 19 characters that separate fields.
+    space = re.compile(r"\s")
+    spaces = {chr(c) for c in range(0x110000) if chr(c).isspace()}
+    assert all(bool(space.match(chr(c))) == (chr(c) in spaces) for c in range(0x110000))
+    breaks = {chr(c) for c in range(0x110000) if len(f"a{chr(c)}a".splitlines()) == 2}
+    assert breaks == set(LINE_BREAKS)
+    assert set(LINE_BREAKS) <= spaces
+    assert "".join(sorted(spaces - set(LINE_BREAKS))) == FIELD_SPACES
+    assert len(FIELD_SPACES) == 19
+
+
+def differential_payload(rng):
+    """A line-record payload with random faults, line breaks and field spacing."""
+
+    def pad(lo, hi):
+        return "".join(rng.choices(FIELD_SPACES, k=rng.randint(lo, hi)))
+
+    def line(*fields):
+        return pad(0, 2) + pad(1, 2).join(fields) + pad(0, 2)
+
+    def breaks():
+        out = rng.choice(LINE_BREAKS)
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            out += pad(0, 2) + rng.choice(LINE_BREAKS)
+        return out
+
+    number = ["1", "2", "3", "1", "2", "0", "007", "+1", "1_0", "\u0661", "x", "99"]
+    symbol = ["a", "b", "a", "b", "z", "\\x01", "\\\\", "ab", "\\x6", "\\xzz", "\\", "\\x61"]
+
+    def record():
+        return rng.choice([
+            ("E", rng.choice(symbol)),
+            ("C", rng.choice(number), rng.choice(number)),
+            ("C", rng.choice(number), rng.choice(number)),
+            rng.choice([("Q",), ("E",), ("C", "1"), ("E", "a", "b"), ("C", "1", "1", "1"), ("e", "a")]),
+        ])
+
+    if rng.random() < 0.5:
+        # a well-formed parse, its records mutated now and then
+        w = "".join(rng.choices("ab\x01\\", k=rng.randint(1, 8)))
+        header, *records = [tuple(ln.split(" ")) for ln in to_lines(lex_parse(w)).splitlines()]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            at = rng.randint(0, len(records))
+            records[at : at + rng.randint(0, 1)] = [record()]
+    else:
+        n = rng.randint(0, 6)
+        ordering = rng.choice(["ab", "ba", "a", "a\\x01", "\\\\b", "aa", "a\\x6", "ab\\xZZ"])
+        header = rng.choice([("LEXPARSE", str(n), ordering)] * 8 + [
+            ("LEXPARSE", "+1", "a"), ("LEXPARSE", "2"), ("LEXPARSE", "\u0663", "a"),
+            ("NOPE", "1", "a"),
+        ])
+        records = [record() for _ in range(rng.randint(0, 8))]
+    payload = pad(0, 1) + (breaks() if rng.random() < 0.3 else "") + line(*header)
+    for fields in records:
+        payload += breaks() + line(*fields)
+    return payload + rng.choice(["", "", breaks(), pad(1, 2), breaks() + pad(1, 2)])
+
+
+def outcome(reader, payload):
+    try:
+        return reader(payload)
+    except MalformedParseError as exc:
+        return f"MalformedParseError: {exc}"
+
+
+def test_from_lines_matches_the_per_line_oracle():
+    rng = random.Random(18)
+    parsed = 0
+    for _ in range(6000):
+        payload = differential_payload(rng)
+        got, want = outcome(from_lines, payload), outcome(from_lines_oracle, payload)
+        assert got == want, payload
+        if isinstance(want, LexParse):
+            parsed += 1
+            assert got.phrases == want.phrases
+    assert parsed > 1000  # the payloads reach well-formed parses, not only faults
+
+
+def test_one_parse_built_every_way_is_one_value():
+    rng = random.Random(4)
+    texts = ["ababbaaba", fibonacci(10), edited_fib(10), "\x00\\ \xff\x00\xff"]
+    texts += [random_text(rng, "abcd", 60) for _ in range(20)]
+    for w in texts:
+        p = lex_parse(w)
+        ways = [
+            p,
+            from_lines(to_lines(p)),
+            from_dict(json.loads(json.dumps(to_dict(p)))),
+            LexParse(p.phrases, p.n, p.ordering),
+            LexParse(list(p.phrases), p.n, p.ordering),
+            lex_parse_naive(w),
+            pickle.loads(pickle.dumps(p)),
+            copy.deepcopy(p),
+        ]
+        for q in ways:
+            assert q == p and hash(q) == hash(p) and q.phrases == p.phrases, w
+        assert len(set(ways)) == 1
+        assert lex_parse(w + w[0]) != p
+
+
+def test_columns_cannot_be_mutated_through_the_parse():
+    p = lex_parse("ababbaaba", ORD_AB)
+    lengths, sources = p.columns
+    assert (lengths, sources) == ((3, 1, 2, 1, 1, 1), (7, 2, 8, 6, "b", "a"))
+    assert type(lengths) is tuple and type(sources) is tuple
+    with pytest.raises(TypeError):
+        lengths[0] = 4  # type: ignore[index]
+    for name in ("n", "ordering", "columns", "phrases", "_lengths", "_sources", "_phrases", "x"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert not hasattr(p, "__dict__")
+    before = hash(p)
+    p.lengths().append(9)
+    p.starts().append(9)
+    p.spans().clear()
+    assert p.columns == (lengths, sources) and hash(p) == before
+    assert p.lengths() == [3, 1, 2, 1, 1, 1] and p.starts() == [1, 4, 5, 7, 8, 9]
+    assert p.spans() == [(1, 3), (4, 1), (5, 2), (7, 1), (8, 1), (9, 1)]
+    assert p.phrases is p.phrases  # built once
 
 
 def test_dict_serialization_round_trip():
