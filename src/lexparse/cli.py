@@ -16,24 +16,22 @@ import json
 import os
 import stat
 import sys
-from itertools import count, repeat
+from itertools import count
 
 from .alphabet import AlphabetOrdering
 from .fibwords import DEFAULT_MAX_N, FibSpec, fib_length
 from .parse import (
-    _HEADER,
-    _LINE_BREAKS,
+    _check_line_prefix,
     _decimal,
     _declared_n,
-    _escape_symbol,
     _json_leading_ns,
-    _read_lines,
     decode,
     from_dict,
     from_lines,
     lex_parse,
+    max_payload,
     phrase_strings,
-    to_dict,
+    to_json,
     to_lines,
 )
 from .sensitivity import (
@@ -191,11 +189,9 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     text = _resolve_text(args)
     ordering = _resolve_ordering(args, text)
     parse = lex_parse(text, ordering)
-    if args.format == "lexparse":
-        _emit(to_lines(parse), args.out)
+    if args.format in ("lexparse", "json"):
+        _emit(to_lines(parse) if args.format == "lexparse" else to_json(parse), args.out)
         return EXIT_OK
-    if args.format == "json":
-        return _render(args, to_dict(parse))
     lengths, sources = parse.columns
     rows = [
         [idx, start, length, *(("E", "") if type(source) is str else ("C", source))]
@@ -365,34 +361,9 @@ def _refuse_over_cap(n: int | None, cap: int) -> None:
         )
 
 
-def _payload_limit(cap: int) -> int:
-    """The most bytes ``parse --format lexparse`` or ``--format json`` writes for
-    a text of at most ``cap`` symbols.  Each part of a payload is counted at
-    its longest: the header with all 256 byte symbols in the ordering, and
-    ``cap`` records, each as long as the longer of a copy whose length and
-    source have the digits of ``cap`` and an explicit phrase of the symbol
-    with the longest escape."""
-    symbols = "".join(map(chr, range(256)))
-    escaped = list(map(_escape_symbol, symbols))
-    record = max(len(f"E {max(escaped, key=len)}"), len(f"C {cap} {cap}")) + 1
-    lines = len(f"{_HEADER} {cap} {''.join(escaped)}\n") + cap * record
-
-    def json_bytes(records: list) -> int:
-        return len(_json_text(
-            {"format": "lexparse", "n": cap, "ordering": symbols, "v": cap, "phrases": records}
-        ))
-
-    explicit = ["E", max(symbols, key=lambda c: len(json.dumps(c)))]
-    as_json = max(
-        json_bytes([r]) + (cap - 1) * (json_bytes([r, r]) - json_bytes([r]))
-        for r in (explicit, ["C", cap, cap])
-    )
-    return max(lines, as_json)
-
-
 def _cmd_decode(args: argparse.Namespace) -> int:
     cap = _max_n()
-    limit = _payload_limit(cap)
+    limit = max_payload(cap)
     payload = _read(args.file, limit + 1)
     try:
         # Refuse an oversized parse on its declared n, before reading any record;
@@ -404,9 +375,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             # A fault on a line that ends within the limit is reported first, as it
             # would be on the whole payload: a bad header or record, or a record past n.
             if not is_json:
-                head = payload[: max(map(payload.rfind, _LINE_BREAKS, repeat(0), repeat(limit))) + 1]
-                if head and not head.isspace():
-                    _read_lines(head)
+                _check_line_prefix(payload, limit)
             raise ValueError(
                 f"the payload is longer than {limit} bytes, the most a parse of at most "
                 f"{cap} symbols takes (raise LEXPARSE_MAX_N to allow it)"

@@ -21,10 +21,10 @@ import json
 import re
 from array import array
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from typing import Iterator, Union
 
-from .alphabet import AlphabetOrdering
+from .alphabet import MAX_ALPHABET, AlphabetOrdering
 from .suffixes import SuffixArray, build_suffix_array
 from .textops import _SCAN, _lce
 
@@ -344,8 +344,6 @@ def decode(parse: LexParse) -> str:
     for length, source in zip(*parse.columns):
         if type(source) is str:
             out[pos] = source
-        elif length == 1:
-            ref[pos] = source
         else:
             ref[pos : pos + length] = array("i", range(source, source + length))
         pos += length
@@ -389,13 +387,14 @@ _SPACE = f"[^\\S{_LINE_BREAKS}]"  # whitespace within a line
 # group 1: the header, then one record a match.  A copy record in plain
 # digits and an explicit record of one unescaped symbol are read by the
 # pattern; any other line (an escaped symbol, junk, trailing whitespace) is
-# group 1 alone.  The matches tile the payload: a search only skips
-# whitespace at its end.
+# group 1 alone.  The whitespace that ends a payload is one last match, so
+# that no search fails: a failed search would cost a backtrack over that
+# whitespace from each of its positions.  The matches tile the payload.
 _RECORD = re.compile(
     rf"(?:\s*{_BREAK})?("
     rf"{_SPACE}*(?:C{_SPACE}+([0-9]+){_SPACE}+([0-9]+)|E{_SPACE}+(?:([^\s\\])|(\S+)))"
     rf"{_SPACE}*(?={_BREAK}|\Z)"
-    rf"|{_NOT_BREAK}+)"
+    rf"|{_NOT_BREAK}+|\s+\Z)"
 )
 
 
@@ -546,6 +545,15 @@ def _read_lines(serialized: str) -> tuple[int, AlphabetOrdering, tuple, tuple]:
     return n, ordering, tuple(lengths), tuple(sources)
 
 
+def _check_line_prefix(serialized: str, end: int) -> None:
+    """Raise the first fault on the lines of the line records ``serialized``
+    that end within its first ``end`` characters: a fault of the header or of
+    a record, or a record past the declared ``n``."""
+    head = serialized[: max(map(serialized.rfind, _LINE_BREAKS, repeat(0), repeat(end))) + 1]
+    if head and not head.isspace():
+        _read_lines(head)
+
+
 def from_lines(serialized: str) -> LexParse:
     """Parse the line-record format back into a :class:`LexParse`.
 
@@ -556,18 +564,59 @@ def from_lines(serialized: str) -> LexParse:
     return LexParse._from_columns(lengths, sources, n, ordering)
 
 
+def _dict_form(n: int, ordering: str, v: int, records: list) -> dict:
+    return {"format": "lexparse", "n": n, "ordering": ordering, "v": v, "phrases": records}
+
+
 def to_dict(parse: LexParse) -> dict:
     """JSON-ready dictionary form of a parse."""
-    return {
-        "format": "lexparse",
-        "n": parse.n,
-        "ordering": "".join(parse.ordering.symbols),
-        "v": parse.v,
-        "phrases": [
+    return _dict_form(
+        parse.n,
+        "".join(parse.ordering.symbols),
+        parse.v,
+        [
             ["E", source] if type(source) is str else ["C", length, source]
             for length, source in zip(*parse.columns)
         ],
-    }
+    )
+
+
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def to_json(parse: LexParse) -> str:
+    """The dictionary form as indented JSON text; every symbol is written in
+    ASCII, those outside it as ``\\uXXXX`` escapes."""
+    return _json_text(to_dict(parse))
+
+
+# The symbol with the longest JSON form: an astral one, written as two \uXXXX escapes.
+_WIDEST_JSON_SYMBOL = "\U0010ffff"
+
+
+def max_payload(n_max: int) -> int:
+    """The most characters :func:`to_lines` or :func:`to_json` writes for a
+    parse of at most ``n_max`` symbols.
+
+    Each part is counted at its longest: every number with the digits of
+    ``n_max``; the ordering of the line records with all 256 byte symbols,
+    the only ones they hold, and that of JSON with ``MAX_ALPHABET`` astral
+    symbols; and ``n_max`` records, each the longer of a copy and an
+    explicit phrase of a symbol with the longest escape."""
+    escapes = [_escape_symbol(chr(c)) for c in range(256)]
+    record = max(len(f"E {max(escapes, key=len)}"), len(f"C {n_max} {n_max}")) + 1
+    lines = len(f"{_HEADER} {n_max} {''.join(escapes)}\n") + n_max * record
+
+    def json_chars(records: list) -> int:
+        obj = _dict_form(n_max, _WIDEST_JSON_SYMBOL * MAX_ALPHABET, n_max, records)
+        return len(_json_text(obj))
+
+    as_json = max(
+        json_chars([r]) + (n_max - 1) * (json_chars([r, r]) - json_chars([r]))
+        for r in (["E", _WIDEST_JSON_SYMBOL], ["C", n_max, n_max])
+    )
+    return max(lines, as_json)
 
 
 def from_dict(obj: dict) -> LexParse:

@@ -8,10 +8,9 @@ import time
 
 import pytest
 
-from lexparse import cli
 from lexparse.cli import main
 from lexparse.fibwords import edited_fib, fibonacci
-from lexparse.parse import decode, from_dict, from_lines
+from lexparse.parse import decode, from_dict, from_lines, max_payload
 
 
 def run_cli(capsys, *argv):
@@ -383,7 +382,7 @@ TEN_SYMBOL_TEXTS = [
 
 def test_decode_reads_what_both_writers_write_for_texts_at_the_cap(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("LEXPARSE_MAX_N", "10")
-    limit = cli._payload_limit(10)
+    limit = max_payload(10)
     text_path, parse_path = tmp_path / "text", tmp_path / "parse"
     rng = random.Random(10)
     texts = TEN_SYMBOL_TEXTS + [bytes(rng.choices(range(256), k=10)) for _ in range(40)]
@@ -398,11 +397,34 @@ def test_decode_reads_what_both_writers_write_for_texts_at_the_cap(capsys, monke
             assert out == text.decode("latin-1") + "\n"
 
 
+def test_decode_reads_json_of_wide_symbols_and_orderings_at_the_cap(capsys, monkeypatch):
+    # JSON writes symbols above U+00FF as \uXXXX escapes, astral ones as two,
+    # and an --order may list up to 256 symbols whatever the text
+    monkeypatch.setenv("LEXPARSE_MAX_N", "10")
+    cjk = "".join(map(chr, range(0x4E00, 0x4E00 + 256)))
+    astral = "".join(map(chr, range(0x1F600, 0x1F600 + 256)))
+    longest = 0
+    for text, order in (
+        ("ab", cjk[:2] + "ab" + cjk[2:254]),
+        ("ab", "ab" + astral[:254]),
+        (astral[:10], astral),
+        (astral[:10], None),
+        (astral[:5] + "\x00" * 5, astral[:5] + "\x00" + astral[5:255]),
+    ):
+        argv = ["parse", "--text", text, "--format", "json"]
+        code, payload, err = run_cli(capsys, *argv, *(["--order", order] if order else []))
+        assert (code, err) == (0, ""), err
+        longest = max(longest, len(payload))
+        set_stdin(monkeypatch, payload.encode("ascii"))
+        assert run_cli(capsys, "decode") == (0, text + "\n", "")
+    assert 3200 < longest <= max_payload(10)
+
+
 def test_decode_refuses_a_payload_one_byte_past_the_limit(capsys, monkeypatch, tmp_path):
     # Padding is whitespace both readers skip; it is refused once it pushes a
     # payload past the longest one the writers produce for texts at the cap.
     monkeypatch.setenv("LEXPARSE_MAX_N", "10")
-    limit = cli._payload_limit(10)
+    limit = max_payload(10)
     text_path, parse_path = tmp_path / "text", tmp_path / "parse"
     text_path.write_bytes(TEN_SYMBOL_TEXTS[2])
     for fmt in ("lexparse", "json"):
@@ -430,7 +452,7 @@ def test_decode_reads_no_more_than_the_limit(capsys, monkeypatch, tmp_path):
     # whole; a payload that goes on with no fault past the limit is refused
     # at it.
     monkeypatch.setenv("LEXPARSE_MAX_N", "10")
-    limit = cli._payload_limit(10)
+    limit = max_payload(10)
     path = tmp_path / "payload"
     for head, message in (
         (b"LEXPARSE 2 a\nE a\nC 1 1\nC 1 1\n", "bad line 'C 1 1': more phrase records"),

@@ -3,6 +3,7 @@ import json
 import pickle
 import random
 import re
+import time
 
 import pytest
 
@@ -365,6 +366,17 @@ def test_from_lines_matches_the_per_line_oracle():
             parsed += 1
             assert got.phrases == want.phrases
     assert parsed > 1000  # the payloads reach well-formed parses, not only faults
+
+
+@pytest.mark.parametrize("tail", ["\n", "\r\n", " ", " \n", "\n\t", "\x1c\x85"])
+def test_trailing_whitespace_is_read_in_linear_time(tail):
+    # 10^6 repeats of the tail after a well-formed parse; a reader that failed a
+    # search at each position of the tail would take quadratic time over it
+    payload = "LEXPARSE 1 a\nE a" + tail * 1_000_000
+    start = time.perf_counter()
+    p = from_lines(payload)
+    assert time.perf_counter() - start < 1.0
+    assert p == from_lines_oracle(payload) == lex_parse("a")
 
 
 def test_one_parse_built_every_way_is_one_value():
