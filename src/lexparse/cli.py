@@ -25,6 +25,7 @@ from .parse import (
     _decimal,
     _declared_n,
     _json_leading_ns,
+    _json_text,
     decode,
     from_dict,
     from_lines,
@@ -158,10 +159,6 @@ def _emit(payload: str, out: str | None) -> None:
 
 def _ratio_str(r) -> str:
     return f"{r.numerator}/{r.denominator} ({float(r):.3f})"
-
-
-def _json_text(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
 
 
 def _render(args: argparse.Namespace, report) -> int:

@@ -7,12 +7,12 @@ is a bidirectional macro scheme: copy sources may lie to the right of the
 phrase, and decoding resolves per-position reference chains, which terminate
 because every hop moves to a lexicographically smaller suffix.
 
-A :class:`LexParse` holds its phrases as two columns of equal length,
+A :class:`LexParse` is its phrases as two columns of equal length,
 ``lengths`` and ``sources``: a copy phrase is its length and its 1-based
 source, an explicit phrase is the length 1 and its one-character symbol.
-The walk, the readers, the writers and :func:`decode` work on the columns;
-:class:`Explicit` and :class:`Copy` objects are built only when
-``LexParse.phrases`` is asked for.
+The walk, the readers, :func:`lex_parse_naive`, the writers and
+:func:`decode` build or read the columns; :class:`Explicit` and
+:class:`Copy` objects are built only when ``LexParse.phrases`` is read.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 from typing import Iterator, Union
 
@@ -30,7 +30,7 @@ from .textops import _SCAN, _lce
 
 
 class MalformedParseError(ValueError):
-    """A malformed serialization or phrase sequence (see :class:`LexParse`), or a reference cycle."""
+    """A malformed serialization or phrase columns (see :class:`LexParse`), or a reference cycle."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,61 +55,41 @@ class Copy:
 Phrase = Union[Explicit, Copy]
 
 
-class _Misfit:
-    """A phrase that the source column cannot hold as it is, kept there for the
-    validation to name its fault.  ``kind`` is :class:`Explicit` for a symbol
-    that is not a ``str``, :class:`Copy` for a source that is one (either would
-    read as the other kind), and None for an object that is no phrase."""
-
-    __slots__ = ("kind", "value")
-
-    def __init__(self, kind: type | None, value: object) -> None:
-        self.kind = kind
-        self.value = value
-
-
 def _check(lengths: tuple, sources: tuple, n: object, ordering: AlphabetOrdering) -> None:
     """Raise :class:`MalformedParseError` at the first breach of :class:`LexParse`'s
-    rules by phrase columns that a converter built (an explicit phrase has
-    length 1 there)."""
+    rules by two phrase columns of equal length."""
     if type(n) is not int or n < 1:
         raise MalformedParseError(f"text length {n!r} is not an integer >= 1")
     symbols = set(ordering.symbols)
     pos = 1
     for length, source in zip(lengths, sources):
         if type(source) is str:
-            if source not in symbols:
-                raise _explicit_fault(pos, source, ordering)
+            if source not in symbols or length != 1 or type(length) is not int:
+                raise _explicit_fault(pos, length, source, ordering)
         elif (
             type(length) is not int
             or length < 1
             or type(source) is not int
             or not 1 <= source <= n - length + 1
         ):
-            raise _fault(pos, length, source, n, ordering)
+            raise _fault(pos, length, source, n)
         pos += length
     if pos - 1 != n:
         raise MalformedParseError(f"phrase lengths sum to {pos - 1}, expected {n}")
 
 
-def _explicit_fault(pos: int, symbol: object, ordering: AlphabetOrdering) -> MalformedParseError:
-    return MalformedParseError(
-        f"explicit phrase at {pos} holds {symbol!r}, not a symbol of the ordering {ordering.spec!r}"
-    )
-
-
-def _fault(
-    pos: int, length: object, source: object, n: int, ordering: AlphabetOrdering
+def _explicit_fault(
+    pos: int, length: object, symbol: str, ordering: AlphabetOrdering
 ) -> MalformedParseError:
+    if symbol not in ordering.symbols:
+        return MalformedParseError(
+            f"explicit phrase at {pos} holds {symbol!r}, not a symbol of the ordering {ordering.spec!r}"
+        )
+    return MalformedParseError(f"explicit phrase at {pos} has length {length!r}, not 1")
+
+
+def _fault(pos: int, length: object, source: object, n: int) -> MalformedParseError:
     """The fault of a column entry that is neither a symbol nor a well-formed copy."""
-    if type(source) is _Misfit:
-        if source.kind is Explicit:
-            return _explicit_fault(pos, source.value, ordering)
-        if source.kind is None:
-            return MalformedParseError(
-                f"phrase at {pos} is {type(source.value).__name__!r}, neither Explicit nor Copy"
-            )
-        source = source.value
     if type(length) is not int or length < 1:
         return MalformedParseError(f"copy phrase at {pos} has length {length!r}")
     return MalformedParseError(
@@ -118,118 +98,69 @@ def _fault(
     )
 
 
+@dataclass(frozen=True)
 class LexParse:
     """An ordered phrase sequence covering a text of length ``n``, well formed by construction.
 
-    ``n`` is an exact ``int`` >= 1 (not a ``bool``, a ``float`` or a numeric
-    string); an explicit phrase holds one symbol of the ordering, a ``str``;
-    a copy phrase has an exact-``int`` length >= 1 and a source with
-    ``1 <= source <= n - length + 1``; the phrase lengths sum to ``n``.
-    Construction raises :class:`MalformedParseError` on a breach of these
-    rules.  Reference cycles are the one fault left to :func:`decode`.
-
-    ``LexParse(phrases, n, ordering)`` takes a sequence of :class:`Explicit`
-    and :class:`Copy`.  The parse holds them as the tuples of
-    :attr:`columns`; ``phrases`` builds the phrase objects on first use.  A
-    parse is immutable and hashable, and parses compare equal when their
-    ``n``, ordering and columns do.
+    ``LexParse(columns, n, ordering)`` takes the phrases as two tuples of
+    equal length, ``columns == (lengths, sources)``.  ``n`` is an exact
+    ``int`` >= 1 (not a ``bool``, a ``float`` or a numeric string); an
+    explicit phrase is the length 1 and a ``str`` source, one symbol of the
+    ordering; a copy phrase is an exact-``int`` length >= 1 and an ``int``
+    source with ``1 <= source <= n - length + 1``; the phrase lengths sum to
+    ``n``.  Construction, unpickling and copying raise
+    :class:`MalformedParseError` on a breach of these rules.  Reference
+    cycles are the one fault left to :func:`decode`.  A parse is immutable
+    and hashable, and parses compare equal when their columns, ``n`` and
+    ordering do.
     """
 
-    __slots__ = ("n", "ordering", "_lengths", "_sources", "_phrases")
+    __slots__ = ("columns", "n", "ordering")
 
-    def __init__(self, phrases: tuple[Phrase, ...], n: int, ordering: AlphabetOrdering) -> None:
-        phrases = tuple(phrases)
-        lengths, sources = [], []
-        for ph in phrases:
-            if isinstance(ph, Explicit):
-                length = 1
-                source = ph.symbol if type(ph.symbol) is str else _Misfit(Explicit, ph.symbol)
-            else:
-                try:
-                    length, source = ph.length, ph.source
-                except AttributeError:
-                    length, source = 1, _Misfit(None, ph)
-                else:
-                    if isinstance(source, str):
-                        source = _Misfit(Copy, source)
-            lengths.append(length)
-            sources.append(source)
-        self._set(tuple(lengths), tuple(sources), n, ordering, phrases)
+    columns: tuple[tuple[int, ...], tuple[int | str, ...]]
+    n: int
+    ordering: AlphabetOrdering
 
-    @classmethod
-    def _from_columns(
-        cls, lengths: tuple, sources: tuple, n: int, ordering: AlphabetOrdering
-    ) -> LexParse:
-        parse = cls.__new__(cls)
-        parse._set(lengths, sources, n, ordering, None)
-        return parse
-
-    def _set(self, lengths: tuple, sources: tuple, n: int, ordering, phrases) -> None:
-        _check(lengths, sources, n, ordering)
-        init = object.__setattr__
-        init(self, "n", n)
-        init(self, "ordering", ordering)
-        init(self, "_lengths", lengths)
-        init(self, "_sources", sources)
-        init(self, "_phrases", phrases)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def __post_init__(self) -> None:
+        columns = self.columns
+        if not (
+            type(columns) is tuple
+            and len(columns) == 2
+            and type(columns[0]) is tuple
+            and type(columns[1]) is tuple
+            and len(columns[0]) == len(columns[1])
+        ):
+            raise MalformedParseError("the phrase columns are not two tuples of equal length")
+        _check(*columns, self.n, self.ordering)
 
     def __reduce__(self):
-        return (type(self)._from_columns, (*self.columns, self.n, self.ordering))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.ordering, self._lengths, self._sources) == (
-            other.n, other.ordering, other._lengths, other._sources
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.ordering, self._lengths, self._sources))
-
-    def __repr__(self) -> str:
-        return f"LexParse(phrases={self.phrases!r}, n={self.n!r}, ordering={self.ordering!r})"
-
-    @property
-    def columns(self) -> tuple[tuple[int, ...], tuple[int | str, ...]]:
-        """The phrase lengths and the phrase sources: a copy's 1-based source
-        ``int``, or an explicit phrase's symbol ``str``."""
-        return self._lengths, self._sources
+        return type(self), (self.columns, self.n, self.ordering)
 
     @property
     def phrases(self) -> tuple[Phrase, ...]:
-        """The phrases as :class:`Explicit` and :class:`Copy` objects."""
-        phrases = self._phrases
-        if phrases is None:
-            phrases = tuple(
-                Explicit(source) if type(source) is str else Copy(length, source)
-                for length, source in zip(self._lengths, self._sources)
-            )
-            object.__setattr__(self, "_phrases", phrases)
-        return phrases
+        """The phrases as :class:`Explicit` and :class:`Copy` objects, built on each access."""
+        return tuple(
+            Explicit(source) if type(source) is str else Copy(length, source)
+            for length, source in zip(*self.columns)
+        )
 
     @property
     def v(self) -> int:
         """Number of phrases."""
-        return len(self._lengths)
+        return len(self.columns[0])
 
     def starts(self) -> list[int]:
         """1-based start position of each phrase."""
-        starts = list(accumulate(self._lengths, initial=1))
+        starts = list(accumulate(self.columns[0], initial=1))
         starts.pop()
         return starts
 
     def spans(self) -> list[tuple[int, int]]:
         """(start, length) of each phrase, 1-based."""
-        return list(zip(self.starts(), self._lengths))
+        return list(zip(self.starts(), self.columns[0]))
 
     def lengths(self) -> list[int]:
-        return list(self._lengths)
+        return list(self.columns[0])
 
 
 def phrase_strings(parse: LexParse, text: str) -> list[str]:
@@ -285,7 +216,7 @@ def lex_parse(
             add_source(text[i])
         add_length(l)
         i += l
-    return LexParse._from_columns(tuple(lengths), tuple(sources), n, sa.ordering)
+    return LexParse((tuple(lengths), tuple(sources)), n, sa.ordering)
 
 
 def v_count(text: str, ordering: AlphabetOrdering | None = None) -> int:
@@ -304,26 +235,26 @@ def lex_parse_naive(text: str, ordering: AlphabetOrdering | None = None) -> LexP
     keys = {i: ordering.key(text[i - 1 :]) for i in range(1, n + 1)}
     order = sorted(range(1, n + 1), key=keys.__getitem__)
     rank = {p: r for r, p in enumerate(order)}
-    phrases: list[Phrase] = []
+    lengths: list[int] = []
+    sources: list[int | str] = []
     i = 1
     while i <= n:
         r = rank[i]
-        if r == 0:
-            phrases.append(Explicit(text[i - 1]))
-            i += 1
-            continue
-        src = order[r - 1]
-        a, b = keys[i], keys[src]
         l = 0
-        while l < len(a) and l < len(b) and a[l] == b[l]:
-            l += 1
+        if r > 0:
+            src = order[r - 1]
+            a, b = keys[i], keys[src]
+            while l < len(a) and l < len(b) and a[l] == b[l]:
+                l += 1
         if l == 0:
-            phrases.append(Explicit(text[i - 1]))
+            lengths.append(1)
+            sources.append(text[i - 1])
             i += 1
         else:
-            phrases.append(Copy(l, src))
+            lengths.append(l)
+            sources.append(src)
             i += l
-    return LexParse(tuple(phrases), n, ordering)
+    return LexParse((tuple(lengths), tuple(sources)), n, ordering)
 
 
 def decode(parse: LexParse) -> str:
@@ -561,7 +492,7 @@ def from_lines(serialized: str) -> LexParse:
     record past the declared ``n``.
     """
     n, ordering, lengths, sources = _read_lines(serialized)
-    return LexParse._from_columns(lengths, sources, n, ordering)
+    return LexParse((lengths, sources), n, ordering)
 
 
 def _dict_form(n: int, ordering: str, v: int, records: list) -> dict:
@@ -630,18 +561,18 @@ def from_dict(obj: dict) -> LexParse:
             if len(lengths) == n:
                 raise ValueError(f"more phrase records than the {n} declared symbols")
             match rec:
-                case ["E", symbol]:
+                case ["E", symbol] if type(symbol) is str:
                     lengths.append(1)
-                    sources.append(symbol if type(symbol) is str else _Misfit(Explicit, symbol))
-                case ["C", length, source]:
+                    sources.append(symbol)
+                case ["C", length, source] if type(source) is not str:
                     lengths.append(length)
-                    sources.append(_Misfit(Copy, source) if isinstance(source, str) else source)
+                    sources.append(source)
                 case _:
                     raise ValueError(f"bad phrase record {rec!r}")
         ordering = AlphabetOrdering.from_string(obj["ordering"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedParseError(f"bad parse object: {exc}") from None
-    return LexParse._from_columns(tuple(lengths), tuple(sources), n, ordering)
+    return LexParse((tuple(lengths), tuple(sources)), n, ordering)
 
 
 def lz77_count(text: str) -> int:

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 from lexparse.alphabet import AlphabetOrdering, all_orderings
-from lexparse.parse import Copy, Explicit, LexParse, MalformedParseError, v_count
+from lexparse.parse import LexParse, MalformedParseError, v_count
 from lexparse.sensitivity import AOSensitivityReport
 from lexparse.textops import edit_candidates
 
@@ -106,7 +106,7 @@ def _oracle_decimal(s):
 
 def from_lines_oracle(serialized):
     """The line-record reader one line at a time: a ``_LINE`` match, a ``split``
-    and a ``match`` statement per record, building phrase objects.  The
+    and a ``match`` statement per record, appending to the phrase columns.  The
     independent oracle of :func:`lexparse.parse.from_lines`, which reads the
     records with one regular expression into the parse's columns."""
     lines = (m[0] for m in _LINE.finditer(serialized) if not m[0].isspace())
@@ -116,20 +116,22 @@ def from_lines_oracle(serialized):
     head = ln.split()
     if len(head) != 3 or head[0] != "LEXPARSE":
         raise MalformedParseError(f"bad header {ln!r}")
-    phrases = []
+    lengths, sources = [], []
     try:
         n = _oracle_decimal(head[1])
         ordering = AlphabetOrdering(tuple(_oracle_unescape(head[2])))
         for ln in lines:
-            if len(phrases) == n:
+            if len(lengths) == n:
                 raise ValueError(f"more phrase records than the {n} declared symbols")
             match ln.split():
                 case ["E", symbol]:
-                    phrases.append(Explicit("".join(_oracle_unescape(symbol))))
+                    lengths.append(1)
+                    sources.append("".join(_oracle_unescape(symbol)))
                 case ["C", length, source]:
-                    phrases.append(Copy(_oracle_decimal(length), _oracle_decimal(source)))
+                    lengths.append(_oracle_decimal(length))
+                    sources.append(_oracle_decimal(source))
                 case _:
                     raise ValueError("not a phrase record")
     except ValueError as exc:
         raise MalformedParseError(f"bad line {ln!r}: {exc}") from None
-    return LexParse(tuple(phrases), n, ordering)
+    return LexParse((tuple(lengths), tuple(sources)), n, ordering)

@@ -177,50 +177,57 @@ def test_decode_round_trip_all_orderings():
 
 
 def test_decode_single_explicit():
-    p = LexParse((Explicit("a"),), 1, AlphabetOrdering.from_string("a"))
+    p = LexParse(((1,), ("a",)), 1, AlphabetOrdering.from_string("a"))
     assert decode(p) == "a"
 
 
 def test_decode_rejects_bad_lengths():
     # a malformed parse cannot be built, so it never reaches decode
     with pytest.raises(MalformedParseError, match=r"^phrase lengths sum to 2, expected 3$"):
-        LexParse((Explicit("a"), Explicit("b")), 3, ORD_AB)
+        LexParse(((1, 1), ("a", "b")), 3, ORD_AB)
 
 
 def test_decode_rejects_bad_source():
     with pytest.raises(MalformedParseError, match=r"outside \[1\.\.2\]"):
-        LexParse((Explicit("a"), Copy(2, 4)), 3, ORD_AB)  # source run [4..5] outside [1..3]
+        LexParse(((1, 2), ("a", 4)), 3, ORD_AB)  # source run [4..5] outside [1..3]
     with pytest.raises(MalformedParseError, match="has source 0"):
-        LexParse((Copy(2, 0), Explicit("a")), 3, ORD_AB)
+        LexParse(((2, 1), (0, "a")), 3, ORD_AB)
 
 
 @pytest.mark.parametrize(
-    "phrases, n, message",
+    "columns, n, message",
     [
-        ((Explicit("a"),), 0, "text length 0 is not an integer >= 1"),
-        ((Explicit("a"),), True, "text length True is not an integer >= 1"),
-        ((Explicit("a"),), 1.0, "text length 1.0 is not an integer >= 1"),
-        ((Explicit("c"),), 1, "explicit phrase at 1 holds 'c', not a symbol of the ordering 'ab'"),
-        ((Explicit("ab"),), 1, "explicit phrase at 1 holds 'ab'"),
-        ((Explicit("a"), Copy(0, 1)), 2, "copy phrase at 2 has length 0"),
-        ((Explicit("a"), Copy(1.0, 1)), 2, "copy phrase at 2 has length 1.0"),
-        ((Explicit("a"), Copy(1, True)), 2, "copy phrase at 2 of length 1 has source True"),
-        ((Explicit("a"), Explicit("b"), Explicit("a")), 2, "phrase lengths sum to 3, expected 2"),
-        (((1, 1),), 1, "phrase at 1 is 'tuple', neither Explicit nor Copy"),
-        ((Explicit("a"), "b"), 2, "phrase at 2 is 'str', neither Explicit nor Copy"),
+        (((1,), ("a",)), 0, "text length 0 is not an integer >= 1"),
+        (((1,), ("a",)), True, "text length True is not an integer >= 1"),
+        (((1,), ("a",)), 1.0, "text length 1.0 is not an integer >= 1"),
+        (((1,), ("c",)), 1, "explicit phrase at 1 holds 'c', not a symbol of the ordering 'ab'"),
+        (((1,), ("ab",)), 1, "explicit phrase at 1 holds 'ab'"),
+        (((1, 0), ("a", 1)), 2, "copy phrase at 2 has length 0"),
+        (((1, 1.0), ("a", 1)), 2, "copy phrase at 2 has length 1.0"),
+        (((1, 1), ("a", True)), 2, "copy phrase at 2 of length 1 has source True"),
+        (((1, 1, 1), ("a", "b", "a")), 2, "phrase lengths sum to 3, expected 2"),
+        (((2,), ("a",)), 2, "explicit phrase at 1 has length 2, not 1"),
+        (((1, True), ("a", "b")), 2, "explicit phrase at 2 has length True, not 1"),
+        (((1,), ("a", 5)), 1, "the phrase columns are not two tuples of equal length"),
+        (([1], ["a"]), 1, "the phrase columns are not two tuples of equal length"),
+        (((1,), ("a",), ()), 1, "the phrase columns are not two tuples of equal length"),
+        ((Explicit("a"),), 1, "the phrase columns are not two tuples of equal length"),
+        ((Explicit("a"), Explicit("b")), 2, "the phrase columns are not two tuples of equal length"),
     ],
     ids=["n-zero", "n-bool", "n-float", "symbol-outside", "two-symbols", "length-zero",
-         "length-float", "source-bool", "lengths-sum", "tuple-phrase", "str-phrase"],
+         "length-float", "source-bool", "lengths-sum", "explicit-length", "explicit-length-bool",
+         "columns-unequal", "columns-lists", "three-columns", "phrase-object",
+         "phrase-objects"],
 )
-def test_malformed_parse_cannot_be_built(phrases, n, message):
+def test_malformed_parse_cannot_be_built(columns, n, message):
     with pytest.raises(MalformedParseError) as exc:
-        LexParse(phrases, n, ORD_AB)
+        LexParse(columns, n, ORD_AB)
     assert str(exc.value).startswith(message)
 
 
 def test_decode_rejects_cycles():
     # positions 1..2 reference 2..3 and positions 3..4 reference 1..2
-    p = LexParse((Copy(2, 2), Copy(2, 1)), 4, ORD_AB)
+    p = LexParse(((2, 2), (2, 1)), 4, ORD_AB)
     with pytest.raises(MalformedParseError):
         decode(p)
 
@@ -389,8 +396,15 @@ def test_one_parse_built_every_way_is_one_value():
             p,
             from_lines(to_lines(p)),
             from_dict(json.loads(json.dumps(to_dict(p)))),
-            LexParse(p.phrases, p.n, p.ordering),
-            LexParse(list(p.phrases), p.n, p.ordering),
+            LexParse(p.columns, p.n, p.ordering),
+            LexParse(
+                (
+                    tuple(ph.length for ph in p.phrases),
+                    tuple(ph.symbol if isinstance(ph, Explicit) else ph.source for ph in p.phrases),
+                ),
+                p.n,
+                p.ordering,
+            ),
             lex_parse_naive(w),
             pickle.loads(pickle.dumps(p)),
             copy.deepcopy(p),
@@ -421,7 +435,15 @@ def test_columns_cannot_be_mutated_through_the_parse():
     assert p.columns == (lengths, sources) and hash(p) == before
     assert p.lengths() == [3, 1, 2, 1, 1, 1] and p.starts() == [1, 4, 5, 7, 8, 9]
     assert p.spans() == [(1, 3), (4, 1), (5, 2), (7, 1), (8, 1), (9, 1)]
-    assert p.phrases is p.phrases  # built once
+
+
+def test_unpickling_and_copying_validate_the_columns():
+    p = object.__new__(LexParse)
+    for name, value in (("columns", ((2,), ("a",))), ("n", 2), ("ordering", ORD_AB)):
+        object.__setattr__(p, name, value)
+    for rebuild in (lambda q: pickle.loads(pickle.dumps(q)), copy.copy, copy.deepcopy):
+        with pytest.raises(MalformedParseError, match="^explicit phrase at 1 has length 2, not 1$"):
+            rebuild(p)
 
 
 def test_dict_serialization_round_trip():
@@ -443,6 +465,8 @@ def test_dict_serialization_rejects_junk():
         {"n": 1, "ordering": "ab", "phrases": [["E", "ab"]]},
         {"n": 2, "ordering": "ab", "phrases": [["E", "z"], ["E", "a"]]},
         {"n": 1, "ordering": "ab", "phrases": [["E", 1]]},
+        {"n": 1, "ordering": "a", "phrases": [["E", 1]]},
+        {"n": 1, "ordering": "a", "phrases": [["C", 1, "a"]]},
         {"n": 2, "ordering": "ab", "phrases": [5, 6]},
         {"n": 1, "ordering": "a", "phrases": [[]]},
         {"n": 3, "ordering": "ab", "phrases": [["E", "a"], ["C", 1.9, 1], ["E", "b"]]},
