@@ -55,11 +55,13 @@ class Copy:
 Phrase = Union[Explicit, Copy]
 
 
-def _check(lengths: tuple, sources: tuple, n: object, ordering: AlphabetOrdering) -> None:
+def _check(lengths: tuple, sources: tuple, n: object, ordering: object) -> None:
     """Raise :class:`MalformedParseError` at the first breach of :class:`LexParse`'s
     rules by two phrase columns of equal length."""
     if type(n) is not int or n < 1:
         raise MalformedParseError(f"text length {n!r} is not an integer >= 1")
+    if not isinstance(ordering, AlphabetOrdering):
+        raise MalformedParseError(f"ordering {ordering!r} is not an AlphabetOrdering")
     symbols = set(ordering.symbols)
     pos = 1
     for length, source in zip(lengths, sources):
@@ -104,7 +106,8 @@ class LexParse:
 
     ``LexParse(columns, n, ordering)`` takes the phrases as two tuples of
     equal length, ``columns == (lengths, sources)``.  ``n`` is an exact
-    ``int`` >= 1 (not a ``bool``, a ``float`` or a numeric string); an
+    ``int`` >= 1 (not a ``bool``, a ``float`` or a numeric string) and
+    ``ordering`` an :class:`AlphabetOrdering` (not its spec string); an
     explicit phrase is the length 1 and a ``str`` source, one symbol of the
     ordering; a copy phrase is an exact-``int`` length >= 1 and an ``int``
     source with ``1 <= source <= n - length + 1``; the phrase lengths sum to
@@ -569,7 +572,10 @@ def from_dict(obj: dict) -> LexParse:
                     sources.append(source)
                 case _:
                     raise ValueError(f"bad phrase record {rec!r}")
-        ordering = AlphabetOrdering.from_string(obj["ordering"])
+        spec = obj["ordering"]
+        if type(spec) is not str:
+            raise ValueError(f"ordering {spec!r} is not a string")
+        ordering = AlphabetOrdering.from_string(spec)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedParseError(f"bad parse object: {exc}") from None
     return LexParse((tuple(lengths), tuple(sources)), n, ordering)

@@ -132,8 +132,8 @@ class _EditedCounter:
 
     An affected head needs ``u[j:a]`` to occur at another start of ``t``, so
     its ``m = a - j`` is at most the longest suffix of ``t[:a]`` that does.
-    ``left[a]``, built once per scan from a suffix array of the reversed
-    text, is that length for occurrences that do not touch the edit; each
+    ``left[a]``, built once per scan from the same suffix array's ranks and
+    LCPs, is that length for occurrences that do not touch the edit; each
     candidate tops it up by finds in a window around the edit
     (:func:`_reach_bound`), never by a scan of the whole text.
     """
@@ -141,18 +141,23 @@ class _EditedCounter:
     def __init__(self, text: str, ordering: AlphabetOrdering):
         self.table = {ord(c): chr(r) for r, c in enumerate(ordering.symbols)}
         self.u = text.translate(self.table)
-        # left[a]: the longest suffix of u[:a] that also ends elsewhere in u,
-        # the larger LCP of u[:a] reversed with its two rank neighbours among
-        # the suffixes of the reversed text.  Built, and its suffix array
-        # dropped, before the base array, so that the two are never held at once.
-        rev = build_suffix_array(text[::-1], ordering)
-        rlcp = rev.lcp + (0,)
-        self.left = array("i", [0])
-        self.left.extend(max(rlcp[r - 1], rlcp[r]) for r in reversed(rev.rank))
-        del rev, rlcp
         sa = build_suffix_array(text, ordering)
         self.sa, self.rank, self.lcp = sa.sa, sa.rank, sa.lcp  # read as built, 1-based
         self.base_v = lex_parse(text, ordering, sa=sa).v
+        # left[a]: the longest suffix of u[:a] that also occurs at another
+        # start.  That is a - j for the least j with j + h >= a, h the larger
+        # LCP of u[j:] with its two rank neighbours, so one sweep over j fills
+        # the table: each j takes the entries past the last one filled, up to
+        # j + h.
+        n, lcp = len(text), self.lcp
+        self.left = left = array("i", [0])
+        for j, r in enumerate(sa.rank):
+            h = lcp[r - 1]
+            if r < n and lcp[r] > h:
+                h = lcp[r]
+            left.extend(range(len(left) - j, h + 1))
+        if len(left) == n:  # the last symbol occurs nowhere else
+            left.append(0)
 
     def edited_v(self, cand: EditCandidate) -> int:
         """Phrase count of ``cand.text``, one of the base text's neighbours.

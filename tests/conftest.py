@@ -7,6 +7,7 @@ from fractions import Fraction
 from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.parse import LexParse, MalformedParseError, v_count
 from lexparse.sensitivity import AOSensitivityReport
+from lexparse.suffixes import build_suffix_array
 from lexparse.textops import edit_candidates
 
 
@@ -27,6 +28,21 @@ def assert_lcp_matches_direct_scans(sa):
     assert sa.lcp[0] == 0
     for r in range(2, sa.n + 1):
         assert sa.lcp[r - 1] == sa.lcp_between(sa.sa[r - 2], sa.sa[r - 1]), r
+
+
+def record_builds(monkeypatch, *modules):
+    """List the (text, ordering) of every suffix array built through
+    ``modules``, each of which imports ``build_suffix_array`` by name."""
+    builds = []
+
+    def recorded(*args, **kwargs):
+        sa = build_suffix_array(*args, **kwargs)
+        builds.append((sa.text, sa.ordering.spec))
+        return sa
+
+    for module in modules:
+        monkeypatch.setattr(module, "build_suffix_array", recorded)
+    return builds
 
 
 def edit_scan_oracle(text, kind, ordering):

@@ -256,6 +256,9 @@ MALFORMED_PAYLOADS = [
     b'{"n":3,"ordering":"ab","phrases":[["E","a"],["C",1.9,1],["E","b"]]}',
     b'{"n":true,"ordering":"a","phrases":[["E","a"]]}',
     b'{"n":Infinity,"ordering":"a","phrases":[["E","a"]]}',
+    b'{"n":1,"ordering":["a"],"phrases":[["E","a"]]}',
+    b'{"n":1,"ordering":5,"phrases":[["E","a"]]}',
+    b'{"n":1,"ordering":null,"phrases":[["E","a"]]}',
     b'{"n":' + b"[" * 100_000,  # nested deeper than the JSON decoder's recursion limit
     b"LEXPARSE 0 ab\n",
     b"LEXPARSE 1 ab\nE \\x6\\\n",

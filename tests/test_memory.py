@@ -83,12 +83,13 @@ def test_from_lines_peak():
 
 
 def test_edit_scan_peak():
-    # 48.6 here, taken at the counter's set-up; 53.8 when an induce pass
-    # named the LMS substrings.  The counter reads its suffix array as
-    # built; 96.7 when it kept 0-based list copies of ``sa`` and
-    # ``rank``.  The scan's reach table comes from a suffix array of the
-    # reversed text, dropped before the text's own is built; 129.6 when that
-    # array was kept and the table was a list.
+    # 42.5 here, taken at the counter's set-up, which builds one suffix
+    # array and fills the scan's reach table from its LCPs.  48.6 when the
+    # table came from a suffix array of the reversed text, dropped before
+    # the text's own was built; 53.8 when, besides, an induce pass named the
+    # LMS substrings, and 129.6 when the reversed array was kept and the
+    # table was a list.  The counter reads its suffix array as built; 96.7
+    # when it kept 0-based list copies of ``sa`` and ``rank``.
     text = fibonacci(15)
     assert len(text) == 610
     ordering = AlphabetOrdering.from_string("ab")
@@ -96,9 +97,10 @@ def test_edit_scan_peak():
 
 
 def test_edit_counter_setup_peak_on_a_longer_word():
-    # 60.5 here, and 51.6 held once set up; 138.9 and 122.5 with the list
-    # copies.  Only the set-up is traced: a traced full scan of f(20) takes
-    # about 20 s.
+    # 55.2 here, and 51.1 held once set up; 60.5 when the reach table came
+    # from a suffix array of the reversed text, and 138.9 and 122.5 with the
+    # list copies.  Only the set-up is traced: a traced full scan of f(20)
+    # takes about 20 s.
     text = fibonacci(20)
     assert len(text) == 6_765
     ordering = AlphabetOrdering.from_string("ab")

@@ -195,33 +195,36 @@ def test_decode_rejects_bad_source():
 
 
 @pytest.mark.parametrize(
-    "columns, n, message",
+    "columns, n, ordering, message",
     [
-        (((1,), ("a",)), 0, "text length 0 is not an integer >= 1"),
-        (((1,), ("a",)), True, "text length True is not an integer >= 1"),
-        (((1,), ("a",)), 1.0, "text length 1.0 is not an integer >= 1"),
-        (((1,), ("c",)), 1, "explicit phrase at 1 holds 'c', not a symbol of the ordering 'ab'"),
-        (((1,), ("ab",)), 1, "explicit phrase at 1 holds 'ab'"),
-        (((1, 0), ("a", 1)), 2, "copy phrase at 2 has length 0"),
-        (((1, 1.0), ("a", 1)), 2, "copy phrase at 2 has length 1.0"),
-        (((1, 1), ("a", True)), 2, "copy phrase at 2 of length 1 has source True"),
-        (((1, 1, 1), ("a", "b", "a")), 2, "phrase lengths sum to 3, expected 2"),
-        (((2,), ("a",)), 2, "explicit phrase at 1 has length 2, not 1"),
-        (((1, True), ("a", "b")), 2, "explicit phrase at 2 has length True, not 1"),
-        (((1,), ("a", 5)), 1, "the phrase columns are not two tuples of equal length"),
-        (([1], ["a"]), 1, "the phrase columns are not two tuples of equal length"),
-        (((1,), ("a",), ()), 1, "the phrase columns are not two tuples of equal length"),
-        ((Explicit("a"),), 1, "the phrase columns are not two tuples of equal length"),
-        ((Explicit("a"), Explicit("b")), 2, "the phrase columns are not two tuples of equal length"),
+        (((1,), ("a",)), 0, ORD_AB, "text length 0 is not an integer >= 1"),
+        (((1,), ("a",)), True, ORD_AB, "text length True is not an integer >= 1"),
+        (((1,), ("a",)), 1.0, ORD_AB, "text length 1.0 is not an integer >= 1"),
+        (((1,), ("c",)), 1, ORD_AB, "explicit phrase at 1 holds 'c', not a symbol of the ordering 'ab'"),
+        (((1,), ("ab",)), 1, ORD_AB, "explicit phrase at 1 holds 'ab'"),
+        (((1, 0), ("a", 1)), 2, ORD_AB, "copy phrase at 2 has length 0"),
+        (((1, 1.0), ("a", 1)), 2, ORD_AB, "copy phrase at 2 has length 1.0"),
+        (((1, 1), ("a", True)), 2, ORD_AB, "copy phrase at 2 of length 1 has source True"),
+        (((1, 1, 1), ("a", "b", "a")), 2, ORD_AB, "phrase lengths sum to 3, expected 2"),
+        (((2,), ("a",)), 2, ORD_AB, "explicit phrase at 1 has length 2, not 1"),
+        (((1, True), ("a", "b")), 2, ORD_AB, "explicit phrase at 2 has length True, not 1"),
+        (((1,), ("a", 5)), 1, ORD_AB, "the phrase columns are not two tuples of equal length"),
+        (([1], ["a"]), 1, ORD_AB, "the phrase columns are not two tuples of equal length"),
+        (((1,), ("a",), ()), 1, ORD_AB, "the phrase columns are not two tuples of equal length"),
+        ((Explicit("a"),), 1, ORD_AB, "the phrase columns are not two tuples of equal length"),
+        ((Explicit("a"), Explicit("b")), 2, ORD_AB, "the phrase columns are not two tuples of equal length"),
+        (((1,), ("a",)), 1, "a", "ordering 'a' is not an AlphabetOrdering"),
+        (((1,), ("a",)), 1, None, "ordering None is not an AlphabetOrdering"),
+        (((1,), ("a",)), 1, ("a",), "ordering ('a',) is not an AlphabetOrdering"),
     ],
     ids=["n-zero", "n-bool", "n-float", "symbol-outside", "two-symbols", "length-zero",
          "length-float", "source-bool", "lengths-sum", "explicit-length", "explicit-length-bool",
          "columns-unequal", "columns-lists", "three-columns", "phrase-object",
-         "phrase-objects"],
+         "phrase-objects", "ordering-spec", "ordering-none", "ordering-symbols"],
 )
-def test_malformed_parse_cannot_be_built(columns, n, message):
+def test_malformed_parse_cannot_be_built(columns, n, ordering, message):
     with pytest.raises(MalformedParseError) as exc:
-        LexParse(columns, n, ORD_AB)
+        LexParse(columns, n, ordering)
     assert str(exc.value).startswith(message)
 
 
@@ -467,6 +470,9 @@ def test_dict_serialization_rejects_junk():
         {"n": 1, "ordering": "ab", "phrases": [["E", 1]]},
         {"n": 1, "ordering": "a", "phrases": [["E", 1]]},
         {"n": 1, "ordering": "a", "phrases": [["C", 1, "a"]]},
+        {"n": 1, "ordering": ["a"], "phrases": [["E", "a"]]},
+        {"n": 1, "ordering": 5, "phrases": [["E", "a"]]},
+        {"n": 1, "ordering": None, "phrases": [["E", "a"]]},
         {"n": 2, "ordering": "ab", "phrases": [5, 6]},
         {"n": 1, "ordering": "a", "phrases": [[]]},
         {"n": 3, "ordering": "ab", "phrases": [["E", "a"], ["C", 1.9, 1], ["E", "b"]]},

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ao_scan_oracle, edit_scan_oracle, exact_reach, random_text
+import lexparse.parse
+import lexparse.sensitivity
+from conftest import ao_scan_oracle, edit_scan_oracle, exact_reach, random_text, record_builds
 from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.fibwords import fib_length, fibonacci
 from lexparse.parse import lex_parse_naive, v_count
@@ -169,11 +171,35 @@ def _assert_reach_bounds(text, ordering):
 def test_reach_bound_covers_the_exact_reach_on_random_texts():
     for text, alphabet in _random_texts(2024, 90, 50):
         _assert_reach_bounds(text, AlphabetOrdering.from_string("$" + alphabet))
+    # The table's sweep at its edges: texts of length 1 and 2, a unary text,
+    # one whose symbols are all distinct (no suffix recurs, so left is all
+    # 0), and a reversed ordering, which the table must not depend on.
+    for text, spec in (
+        ("a", "$a"),
+        ("ab", "$ab"),
+        ("bb", "$b"),
+        ("a" * 12, "$a"),
+        ("dbeac", "$abcde"),
+        (fibonacci(9), "ba$"),
+    ):
+        _assert_reach_bounds(text, AlphabetOrdering.from_string(spec))
 
 
 @pytest.mark.parametrize("k", range(8, 15))
 def test_reach_bound_covers_the_exact_reach_on_fibonacci_words(k):
     _assert_reach_bounds(fibonacci(k), AlphabetOrdering.from_string("$ab"))
+
+
+def test_each_scan_builds_one_suffix_array(monkeypatch):
+    builds = record_builds(monkeypatch, lexparse.sensitivity, lexparse.parse)
+    text = fibonacci(10)
+    for kind, spec in (("sub", "ab"), ("ins", "$ab"), ("ins", "ab"), ("del", "ab")):
+        builds.clear()
+        edit_sensitivity_scan(text, kind, AlphabetOrdering.from_string(spec))
+        assert builds == [(text, spec)], (kind, spec)
+    builds.clear()
+    ao_sensitivity_scan("cabcab")
+    assert builds == [("cabcab", "abc")]
 
 
 def test_edits_at_the_text_ends_match_per_candidate_rebuilds():

@@ -2,6 +2,7 @@ import pytest
 
 import lexparse.parse
 import lexparse.verify
+from conftest import record_builds
 from lexparse.fibwords import edited_fib
 from lexparse.verify import (
     CheckResult,
@@ -11,22 +12,6 @@ from lexparse.verify import (
     all_passed,
     run_verification,
 )
-
-
-def record_builds(monkeypatch):
-    """List the (text, ordering) of every suffix array that ``verify`` builds,
-    itself or through ``lex_parse`` and ``v_count``."""
-    builds = []
-    build = lexparse.verify.build_suffix_array
-
-    def recorded(*args, **kwargs):
-        sa = build(*args, **kwargs)
-        builds.append((sa.text, sa.ordering.spec))
-        return sa
-
-    for module in (lexparse.verify, lexparse.parse):
-        monkeypatch.setattr(module, "build_suffix_array", recorded)
-    return builds
 
 
 def test_all_groups_pass_in_stated_range():
@@ -54,7 +39,7 @@ def test_each_group_runs_alone():
 
 
 def test_each_word_and_ordering_is_built_once(monkeypatch):
-    builds = record_builds(monkeypatch)
+    builds = record_builds(monkeypatch, lexparse.verify, lexparse.parse)
     assert all_passed(run_verification(range(6, 14)))
     # per k: F_2k[:-2], the edited word, its deletion and sentinel variants, F_k twice
     assert len(builds) == 48
@@ -64,7 +49,7 @@ def test_each_word_and_ordering_is_built_once(monkeypatch):
 
 @pytest.mark.parametrize("only", ["suffixes", "edited"])
 def test_one_group_alone_builds_the_edited_word_once_per_k(monkeypatch, only):
-    builds = record_builds(monkeypatch)
+    builds = record_builds(monkeypatch, lexparse.verify, lexparse.parse)
     ks = range(6, 10)
     assert all_passed(run_verification(ks, only=only))
     for k in ks:
