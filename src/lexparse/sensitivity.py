@@ -123,11 +123,14 @@ class _EditedCounter:
     deletion, ``b = a`` for an insertion, and ``e`` empty for a deletion.
 
     A phrase starting at i copies the longest common prefix of ``x = t[i:]``
-    with a smaller suffix of ``t``.  Every other suffix of ``t`` is one of:
-    a tail suffix (starting after the edit), equal to a base suffix; an
-    unaffected head ``t[j:]`` (j < a, sharing fewer than ``a - j`` symbols
-    with ``x``), which compares with ``x`` as its base copy ``u[j:]`` does;
-    an affected head, ``x[:a-j] + t[a:]``; or the edited suffix ``t[a:]``.
+    with a smaller suffix of ``t``.  ``x`` names that suffix, which is read in
+    place: ``x[l]`` is ``t[i + l]`` and ``x[:L]`` is ``t[i:i + L]``, and only
+    the binary search of part 1, whose key compares whole suffixes, copies
+    it.  Every other suffix of ``t`` is one of: a tail suffix (starting after
+    the edit), equal to a base suffix; an unaffected head ``t[j:]`` (j < a,
+    sharing fewer than ``a - j`` symbols with ``x``), which compares with
+    ``x`` as its base copy ``u[j:]`` does; an affected head,
+    ``x[:a-j] + t[a:]``; or the edited suffix ``t[a:]``.
     :meth:`edited_v` takes the best of the three groups at each phrase start.
 
     An affected head needs ``u[j:a]`` to occur at another start of ``t``, so
@@ -160,7 +163,10 @@ class _EditedCounter:
             left.append(0)
 
     def edited_v(self, cand: EditCandidate) -> int:
-        """Phrase count of ``cand.text``, one of the base text's neighbours.
+        """Phrase count of the neighbour of the base text that ``cand`` describes.
+
+        The neighbour is built once, renamed, as ``t``; ``cand.text`` is not
+        read.
 
         The affected heads are searched only at phrase starts where one can
         beat the best of the other groups: where that best is below
@@ -169,7 +175,9 @@ class _EditedCounter:
         leftmost such start bounds the search.  Its windows of ``m`` double
         from one that takes every ``m`` below ``2 (best + 1)``; each is a find
         of the longest prefix of ``x`` that every winning head in it starts
-        with, an occurrence that may cross the edit.
+        with, an occurrence that may cross the edit.  The first window starts
+        at the leftmost start found, when it reaches back that far, and takes
+        that occurrence without a second find.
         """
         u, sa, rank, lcp = self.u, self.sa, self.rank, self.lcp
         a = cand.position - 1
@@ -182,11 +190,10 @@ class _EditedCounter:
         # symbols, c the LCP of t[a:] and u[a:], and the order of t[a:] and
         # u[a:] is the order of x and u[i:].
         c = _lce(t, a, u, a)
-        edited_below = t[a:] < u[a:]
+        edited_below = a + c == n or (a + c < len(u) and t[a + c] < u[a + c])
         reach = _reach_bound(t, a, self.left[a])
         v = i = 0
         while i < n:
-            x = t[i:]
             # 1. The nearest smaller base suffix that is not affected: its LCP
             # with x is the best of all unaffected ones, since LCPs with x do
             # not grow going down the suffix array.  k is x's insertion point.
@@ -202,9 +209,15 @@ class _EditedCounter:
                             k, best = r, lcp[r]
                     elif r + 1 == len(sa) or lcp[r + 1] < agree:
                         k, best = r + 1, agree
-                if k < 0:
-                    k = bisect_left(sa, x, key=lambda p: u[p - 1 :])
-                    best = _lce(x, 0, u, sa[k - 1] - 1) if k else 0
+                if k < 0:  # x sorts on the side of u[i:] that edited_below says
+                    if i >= len(u):
+                        lo, hi = 0, len(sa)
+                    elif edited_below:
+                        lo, hi = 0, r
+                    else:
+                        lo, hi = r + 1, len(sa)
+                    k = bisect_left(sa, t[i:], lo, hi, key=lambda p: u[p - 1 :])
+                    best = _lce(t, i, u, sa[k - 1] - 1) if k else 0
             k -= 1
             while k >= 0:
                 p = sa[k]  # the 1-based start of the suffix of 0-based rank k
@@ -217,10 +230,12 @@ class _EditedCounter:
                 best = 0
             # 2. The edited suffix t[a:], when it is smaller than x and shares
             # more than ``best`` symbols with it.
-            if a != i and t[a : a + best + 1] == x[: best + 1]:
-                l = _lce(t, a, x, 0)
-                if a + l == n or (i + l < n and t[a + l] < x[l]):
+            head = t[i : i + best + 1]
+            if a != i and t.startswith(head, a):
+                l = _lce(t, a, t, i)
+                if a + l == n or (i + l < n and t[a + l] < t[i + l]):
                     best = l
+                    head = t[i : i + best + 1]
             # 3. Each affected head t[j:] == x[:m] + t[a:], m = a - j, smaller
             # than x when t[a:] is smaller than x[m:].  Its m cannot exceed
             # ``reach``, and it does better than ``best`` only if x[:best + 1]
@@ -228,32 +243,36 @@ class _EditedCounter:
             # leftmost such start other than i in [a - reach, a) bounds every
             # winning m (``top``), and no start at all rules the phrase out.  No
             # smaller suffix shares all of x, so best = n - i - 1 cannot grow.
-            # (Conditionals, not a min() call, at this once-a-phrase step.)
+            # (Conditionals, not min() and max() calls, at these steps.)
             top = 0 if best >= n - i - 1 else reach if reach < n - i else n - i
             if top:
-                pat = x[: best + 1]
-                j = t.find(pat, a - top, a + best)
+                j = t.find(head, a - top, a + best)
                 if j == i:
-                    j = t.find(pat, i + 1, a + best)
+                    j = t.find(head, i + 1, a + best)
                 top = a - j if j >= 0 else 0
                 # A winning head with m in [first, 2 ell) starts with x[:L] in t,
                 # L = max(ell, best + 1); an occurrence with m <= L crosses the
                 # edit and is such a head.  One window takes every m below
-                # 2 (best + 1), then the windows double.
-                ell, first = best + 1, 1
+                # 2 (best + 1), then the windows double.  The first window
+                # starts at the hit j unless it is too short to reach back to it.
+                ell, first, L = best + 1, 1, best + 1
                 while first <= top:
-                    L = max(ell, best + 1)
-                    pat = x[:L]
-                    j = t.find(pat, a - min(2 * ell - 1, top), a - first + L)
+                    if ell > L:
+                        L = ell
+                        head = t[i : i + L]
+                    if 2 * ell <= top:
+                        j = t.find(head, a - 2 * ell + 1, a - first + L)
+                    elif first > 1:
+                        j = t.find(head, a - top, a - first + L)
                     while j >= 0:
                         m = a - j
-                        if j != i and (m <= L or u[j + L : a] == x[L:m]):
-                            l = _lce(t, a, x, m)
-                            if a + l == n or (i + m + l < n and t[a + l] < x[m + l]):
+                        if j != i and (m <= L or u[j + L : a] == t[i + L : i + m]):
+                            l = _lce(t, a, t, i + m)
+                            if a + l == n or (i + m + l < n and t[a + l] < t[i + m + l]):
                                 best = m + l
                                 L = best + 1
-                                pat = x[:L]
-                        j = t.find(pat, j + 1, a - first + L)
+                                head = t[i : i + L]
+                        j = t.find(head, j + 1, a - first + L)
                     first = ell = 2 * ell
             v += 1
             i += best or 1

@@ -3,7 +3,7 @@ primitivity, edit enumeration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .alphabet import AlphabetOrdering
@@ -94,14 +94,22 @@ class EditCandidate:
 
     ``position`` is 1-based: the edited position for substitutions and
     deletions, and the position the new symbol occupies for insertions.
-    ``old`` is None for insertions, ``new`` is None for deletions.
+    ``old`` is None for insertions, ``new`` is None for deletions.  ``base``
+    is the text edited, held by reference and left out of the repr; the
+    neighbour itself, :attr:`text`, is built only when it is read.
     """
 
     kind: str
     position: int
     old: str | None
     new: str | None
-    text: str
+    base: str = field(repr=False)
+
+    @property
+    def text(self) -> str:
+        """The edited text, a copy of ``base`` with the edit applied, built on each read."""
+        i = self.position - 1
+        return self.base[:i] + (self.new or "") + self.base[i + (self.old is not None) :]
 
 
 def edit_candidates(w: str, kind: str, alphabet: AlphabetOrdering) -> Iterator[EditCandidate]:
@@ -121,11 +129,11 @@ def edit_candidates(w: str, kind: str, alphabet: AlphabetOrdering) -> Iterator[E
         for i in range(n):
             for c in symbols:
                 if c != w[i]:
-                    yield EditCandidate("sub", i + 1, w[i], c, w[:i] + c + w[i + 1 :])
+                    yield EditCandidate("sub", i + 1, w[i], c, w)
     elif kind == "ins":
         for i in range(n + 1):
             for c in symbols:
-                yield EditCandidate("ins", i + 1, None, c, w[:i] + c + w[i:])
+                yield EditCandidate("ins", i + 1, None, c, w)
     else:
         for i in range(n):
-            yield EditCandidate("del", i + 1, w[i], None, w[:i] + w[i + 1 :])
+            yield EditCandidate("del", i + 1, w[i], None, w)

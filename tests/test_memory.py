@@ -16,23 +16,31 @@ from lexparse.fibwords import fib_length, fibonacci
 from lexparse.parse import Copy, Explicit, decode, from_lines, lex_parse, to_lines
 from lexparse.sensitivity import _EditedCounter, edit_sensitivity_scan
 from lexparse.suffixes import build_suffix_array
+from lexparse.textops import edit_candidates
 from lexparse.verify import run_verification
 
 
-def peak_bytes_per_symbol(n, fn, *args):
-    """Peak of the memory traced while ``fn(*args)`` runs, above what was
-    traced before, divided by ``n``."""
+def traced_bytes(fn, *args):
+    """``fn(*args)``, the peak of the memory traced while it runs and the
+    memory still traced when it returns, both above what was traced before."""
     gc.collect()
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fn(*args)
-        return (tracemalloc.get_traced_memory()[1] - base) / n
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - base, held - base
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def peak_bytes_per_symbol(n, fn, *args):
+    """Peak of the memory traced while ``fn(*args)`` runs, above what was
+    traced before, divided by ``n``."""
+    return traced_bytes(fn, *args)[1] / n
 
 
 def acgt(n):
@@ -105,6 +113,17 @@ def test_edit_counter_setup_peak_on_a_longer_word():
     assert len(text) == 6_765
     ordering = AlphabetOrdering.from_string("ab")
     assert peak_bytes_per_symbol(len(text), _EditedCounter, text, ordering) <= 100
+
+
+def test_edit_candidates_hold_no_copy_of_the_text():
+    # 145.4 a candidate here, which holds the text it edits by reference;
+    # 1,182.4 when each held its edited text, a copy of n + 1 symbols.
+    text = fibonacci(16)
+    assert len(text) == 987
+    ordering = AlphabetOrdering.from_string("$ab")
+    candidates, _, held = traced_bytes(list, edit_candidates(text, "ins", ordering))
+    assert len(candidates) == 3 * (len(text) + 1)
+    assert held / len(candidates) <= 300
 
 
 def test_verify_peak():

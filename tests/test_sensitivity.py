@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import lexparse.parse
 import lexparse.sensitivity
 from conftest import ao_scan_oracle, edit_scan_oracle, exact_reach, random_text, record_builds
 from lexparse.alphabet import AlphabetOrdering, all_orderings
+from lexparse.cli import main
 from lexparse.fibwords import fib_length, fibonacci
 from lexparse.parse import lex_parse_naive, v_count
 from lexparse.sensitivity import (
@@ -345,3 +347,75 @@ def test_empty_inputs_rejected():
         edit_sensitivity_scan("", "sub")
     with pytest.raises(ValueError):
         ao_sensitivity_scan("")
+
+
+def _sigma3_text(shape, seed, n):
+    """A seeded text over ``abc``: uniform, or in runs of 1 to 12 equal symbols cut to ``n``."""
+    rng = random.Random(seed)
+    if shape == "uniform":
+        return "".join(rng.choices("abc", k=n))
+    return "".join(rng.choice("abc") * rng.randint(1, 12) for _ in range(n))[:n]
+
+
+_SIGMA3_TEXTS = {
+    "uniform-300": _sigma3_text("uniform", 300, 300),
+    "uniform-600": _sigma3_text("uniform", 600, 600),
+    "runs-400": _sigma3_text("runs", 400, 400),
+}
+
+
+def _rows_scans():
+    for k in range(12, 17):
+        for kind, spec in (("sub", "ab"), ("ins", "$ab"), ("ins", "ab"), ("del", "ab")):
+            yield f"fib:{k}", ("--gen", f"fib:{k}"), kind, spec
+    for name, text in _SIGMA3_TEXTS.items():
+        for kind, spec in (("sub", "abc"), ("ins", "$abc"), ("del", "abc")):
+            yield name, ("--text", text), kind, spec
+
+
+# SHA-256 of ``scan edit ... --rows --format csv`` per (input, kind, ordering),
+# generated once from an earlier edit counter, which sliced each phrase's
+# suffix: a faster counter must write the same rows byte for byte.
+_ROWS_DIGESTS = {
+    ("fib:12", "sub", "ab"): "68a44426c4c65b7c3c4a97188a7d5542f58494bdb6078bf8445910edb9946969",
+    ("fib:12", "ins", "$ab"): "793095f113b2b1823f0522b54f0912ed91792b3192c130e9eb5b8ec85f7cd56f",
+    ("fib:12", "ins", "ab"): "1eae3c5e106f90f0a622da66495d37d65c30f77d32e6493149802fa366f4efc7",
+    ("fib:12", "del", "ab"): "5a72c775513f2d530f04628855ab2234609055ca0f840e39acdc40a494557734",
+    ("fib:13", "sub", "ab"): "00780b03c4ce99b13d7ac80cc91970198f40ca279678934e350fd49968f14be3",
+    ("fib:13", "ins", "$ab"): "328be964671cfd704869e90ec84860559c4b42cda8d3d1de4361e8b1ca73cf8b",
+    ("fib:13", "ins", "ab"): "d7c6748ef3be0b3ed667f5f8ba4fb46c131ef3e0dae645a2df391c23b4980393",
+    ("fib:13", "del", "ab"): "9478b0ed961a98068d1fa0e6b70a56ca366e0b6e381cbb689bb8155281c0b04f",
+    ("fib:14", "sub", "ab"): "c2fdac3da27d69c9f784451d8db761125c5d58e4c4b962b038eba384ad75805c",
+    ("fib:14", "ins", "$ab"): "05f8289a47f785f4c06376529c04d3e1324289af258806df475866372d8e4fa7",
+    ("fib:14", "ins", "ab"): "f076d4b349327bb67eefbd4e591dc6042ca56c8c210c9f08678060c0d8e8d75a",
+    ("fib:14", "del", "ab"): "83ba487a27929cc3f1bfcb6db1daf4c8e071c3e266fdea4f4bb6d58578e7de38",
+    ("fib:15", "sub", "ab"): "bca0b8fffd99e71fd162bff7011056cbe81c3d7fb83c7ca4206e5dcc2e9353a5",
+    ("fib:15", "ins", "$ab"): "e0bd123eaddb9ed4618c329e5be32535205cc23422e4c79fc8a1ab805c40c599",
+    ("fib:15", "ins", "ab"): "ded5f7b2113ceb0c2bf5089dbaa2b9259433979776b7f89bace51e9eb41cf3e6",
+    ("fib:15", "del", "ab"): "fd79049ff34277910e93c6dcc6509346e0b5b7cb4aaedb685b86e111f3fc1959",
+    ("fib:16", "sub", "ab"): "7e7ef8f32787d81d6512a60830784ec94d7953bdf9364cc6a68f8e3991cb99f6",
+    ("fib:16", "ins", "$ab"): "cbbbd369fb0003b79490a503e8c6b10c6c2e71d2db0806ef225fa7db379fd778",
+    ("fib:16", "ins", "ab"): "b7a234962de54e604b7a7cce61e91d2d15a7f4798541a9ae175d4d510663fdbc",
+    ("fib:16", "del", "ab"): "76dda6baaaa095292b2c389763061040d8e0631ebaceba0d99f4f78c06e7c324",
+    ("uniform-300", "sub", "abc"): "8cc125134bf4639b18bafcf1115178f42ca33844bd0aca2c5a8c6bc3f949d678",
+    ("uniform-300", "ins", "$abc"): "a3d33d0fba2b3f44eda861d8952d7088a1c5ba64aeabdcc3f5d5db432b158fed",
+    ("uniform-300", "del", "abc"): "1a0bfcdee1ecf5bd1d4c2191285ebc89acffe90153a27c78a882276a8acdf670",
+    ("uniform-600", "sub", "abc"): "eaa84228fc869b312401712951328ede56fc71679fa06513d7ed3d867a5ba357",
+    ("uniform-600", "ins", "$abc"): "6e6518aaf2cdd5c2b49611c99b33a574e7573a86eca927a1c76a065a4d623a16",
+    ("uniform-600", "del", "abc"): "900613893b1d00d42e0576842f4b0ecbb5f605cc641c38ea5b05b32afdeeb35b",
+    ("runs-400", "sub", "abc"): "f190d654f6ab27ab53f12587a89fe79bca7c3c05be5186e5733a45a9cfe2b414",
+    ("runs-400", "ins", "$abc"): "6db1a5acc305fa1404e51b4135d84f06278d2a8da04218e3250282695b6789e0",
+    ("runs-400", "del", "abc"): "5a73cd293595705582b0bc42827aeb695bb037287c811d7fadf8829b256ea2cb",
+}
+
+
+@pytest.mark.parametrize(
+    "name, source, kind, spec",
+    list(_rows_scans()),
+    ids=[f"{name}-{kind}-{spec}" for name, _, kind, spec in _rows_scans()],
+)
+def test_scan_rows_are_pinned_by_digest(capsys, name, source, kind, spec):
+    code = main(["scan", "edit", *source, "--kind", kind, "--order", spec, "--rows", "--format", "csv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _ROWS_DIGESTS[name, kind, spec]

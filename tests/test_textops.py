@@ -179,4 +179,9 @@ def test_kind_aliases():
 
 def test_candidate_dataclass_fields():
     (c,) = list(edit_candidates("a", "del", AB))
-    assert c == EditCandidate("del", 1, "a", None, "")
+    assert c == EditCandidate("del", 1, "a", None, "a")
+    assert c.text == ""
+    # the edited text is a field, left out of the repr, and tells candidates apart
+    assert repr(c) == "EditCandidate(kind='del', position=1, old='a', new=None)"
+    assert EditCandidate("del", 1, "a", None, "ab") != c
+    assert EditCandidate("del", 1, "a", None, "ab").text == "b"
