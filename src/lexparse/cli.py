@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import stat
 import sys
@@ -21,10 +20,7 @@ from itertools import count
 from .alphabet import AlphabetOrdering
 from .fibwords import DEFAULT_MAX_N, FibSpec, fib_length
 from .parse import (
-    _check_line_prefix,
     _decimal,
-    _declared_n,
-    _json_leading_ns,
     _json_text,
     decode,
     from_dict,
@@ -32,6 +28,7 @@ from .parse import (
     lex_parse,
     max_payload,
     phrase_strings,
+    read_parse,
     to_json,
     to_lines,
 )
@@ -351,39 +348,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _refuse_over_cap(n: int | None, cap: int) -> None:
-    if n is not None and n > cap:
-        raise ValueError(
-            f"it declares {n} symbols, above the cap {cap} (raise LEXPARSE_MAX_N to allow it)"
-        )
-
-
 def _cmd_decode(args: argparse.Namespace) -> int:
     cap = _max_n()
-    limit = max_payload(cap)
-    payload = _read(args.file, limit + 1)
+    payload = _read(args.file, max_payload(cap) + 1)
     try:
-        # Refuse an oversized parse on its declared n, before reading any record;
-        # a JSON object's "n" ahead of "phrases" is read before they are decoded.
-        is_json = payload.lstrip().startswith("{")
-        for n in _json_leading_ns(payload) if is_json else (_declared_n(payload),):
-            _refuse_over_cap(n, cap)
-        if len(payload) > limit:
-            # A fault on a line that ends within the limit is reported first, as it
-            # would be on the whole payload: a bad header or record, or a record past n.
-            if not is_json:
-                _check_line_prefix(payload, limit)
-            raise ValueError(
-                f"the payload is longer than {limit} bytes, the most a parse of at most "
-                f"{cap} symbols takes (raise LEXPARSE_MAX_N to allow it)"
-            )
-        if is_json:
-            obj = json.loads(payload)
-            _refuse_over_cap(_declared_n(obj), cap)
-            parse = from_dict(obj)
-        else:
-            parse = from_lines(payload)
-        text = decode(parse)
+        text = decode(read_parse(payload, cap))
     except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"cannot decode parse: {exc}") from None
     _emit(text + ("\n" if args.out is None else ""), args.out)

@@ -394,19 +394,6 @@ def _header(serialized: str) -> tuple[str, int]:
     return ln, m.end()
 
 
-def _declared_n(serialized: str | dict) -> int | None:
-    """The text length a serialization declares, read before any phrase record:
-    the header's ``n`` of the line records, or the ``"n"`` of the dictionary
-    form.  None when that is not a plain number; the full reader says why."""
-    if isinstance(serialized, dict):
-        n = serialized.get("n")
-        return n if type(n) is int else None
-    try:
-        return _decimal(_header(serialized)[0].split()[1])
-    except ValueError:
-        return None
-
-
 # JSON's insignificant whitespace, as json.loads skips it.
 _JSON_SPACE = re.compile("[ \t\n\r]*")
 
@@ -579,6 +566,48 @@ def from_dict(obj: dict) -> LexParse:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedParseError(f"bad parse object: {exc}") from None
     return LexParse((tuple(lengths), tuple(sources)), n, ordering)
+
+
+def _refuse_over_cap(n: object, max_n: int) -> None:
+    if type(n) is int and n > max_n:
+        raise ValueError(
+            f"it declares {n} symbols, above the cap {max_n} (raise LEXPARSE_MAX_N to allow it)"
+        )
+
+
+def read_parse(payload: str, max_n: int) -> LexParse:
+    """A parse of at most ``max_n`` symbols, from its line records or its JSON text.
+
+    Refused, in this order: a declared ``n`` over the cap, read before any
+    record (the header's, or each plain-number ``"n"`` of a JSON object ahead
+    of ``"phrases"``); a payload longer than :func:`max_payload` allows, after
+    any fault on the line records that end within it; and a decoded JSON
+    object's ``"n"`` over the cap.  Raises ``ValueError``, or
+    ``RecursionError`` on JSON nested too deep.
+    """
+    is_json = payload.lstrip().startswith("{")
+    if is_json:
+        declared = _json_leading_ns(payload)
+    else:
+        try:
+            declared = [_decimal(_header(payload)[0].split()[1])]
+        except ValueError:  # not a plain number; the full reader says why
+            declared = []
+    for n in declared:
+        _refuse_over_cap(n, max_n)
+    limit = max_payload(max_n)
+    if len(payload) > limit:
+        if not is_json:
+            _check_line_prefix(payload, limit)
+        raise ValueError(
+            f"the payload is longer than {limit} bytes, the most a parse of at most "
+            f"{max_n} symbols takes (raise LEXPARSE_MAX_N to allow it)"
+        )
+    if not is_json:
+        return from_lines(payload)
+    obj = json.loads(payload)
+    _refuse_over_cap(obj.get("n"), max_n)
+    return from_dict(obj)
 
 
 def lz77_count(text: str) -> int:

@@ -87,10 +87,8 @@ def edit_sensitivity_scan(
     last: dict[str | None, int] = {}  # new symbol (None: deletion) -> v of its latest candidate
     for cand in edit_candidates(text, kind, ordering):
         p = cand.position - 1
-        if p > 0 and cand.old is None and text[p - 1] == cand.new:
-            v = last[cand.new]  # inserting c after a c: the insertion of c at p - 1
-        elif p > 0 and cand.new is None and text[p - 1] == text[p]:
-            v = last[None]  # deleting the second of two equal symbols: the deletion at p - 1
+        if p > 0 and cand.kind != "sub" and text[p - 1] == (cand.new or cand.old):
+            v = last[cand.new]  # the text of the same edit at p - 1
         else:
             v = counter.edited_v(cand)
         last[cand.new] = v
@@ -125,13 +123,16 @@ class _EditedCounter:
     A phrase starting at i copies the longest common prefix of ``x = t[i:]``
     with a smaller suffix of ``t``.  ``x`` names that suffix, which is read in
     place: ``x[l]`` is ``t[i + l]`` and ``x[:L]`` is ``t[i:i + L]``, and only
-    the binary search of part 1, whose key compares whole suffixes, copies
-    it.  Every other suffix of ``t`` is one of: a tail suffix (starting after
-    the edit), equal to a base suffix; an unaffected head ``t[j:]`` (j < a,
-    sharing fewer than ``a - j`` symbols with ``x``), which compares with
-    ``x`` as its base copy ``u[j:]`` does; an affected head,
-    ``x[:a-j] + t[a:]``; or the edited suffix ``t[a:]``.
-    :meth:`edited_v` takes the best of the three groups at each phrase start.
+    the binary search of step 1, whose key compares whole suffixes, copies
+    it.  Every other suffix of ``t`` is in one of three groups: a tail suffix
+    (starting after the edit), equal to a base suffix; an unaffected head
+    ``t[j:]`` (j < a, sharing fewer than ``a - j`` symbols with ``x``), which
+    compares with ``x`` as its base copy ``u[j:]`` does; or an affected head
+    ``x[:m] + t[a:]`` with ``m = a - j >= 0``, the edited suffix ``t[a:]``
+    being the one with m = 0.  At each phrase start :meth:`edited_v` takes
+    the best of the first two groups from one neighbour rule in the base
+    suffix array, tail and head starts alike, and the best affected head
+    from one search of the starts ``a - top`` through ``a``.
 
     An affected head needs ``u[j:a]`` to occur at another start of ``t``, so
     its ``m = a - j`` is at most the longest suffix of ``t[:a]`` that does.
@@ -171,13 +172,13 @@ class _EditedCounter:
         The affected heads are searched only at phrase starts where one can
         beat the best of the other groups: where that best is below
         ``n - i - 1``, and ``x[:best + 1]`` occurs at some start other than
-        i in ``[a - reach, a)``.  One or two finds test that, and the
+        i in ``[a - reach, a]``.  One or two finds test that, and the
         leftmost such start bounds the search.  Its windows of ``m`` double
-        from one that takes every ``m`` below ``2 (best + 1)``; each is a find
-        of the longest prefix of ``x`` that every winning head in it starts
-        with, an occurrence that may cross the edit.  The first window starts
-        at the leftmost start found, when it reaches back that far, and takes
-        that occurrence without a second find.
+        from one that takes every ``m`` from 0 to below ``2 (best + 1)``; each
+        is a find of the longest prefix of ``x`` that every winning head in it
+        starts with, an occurrence that may cross the edit.  The first window
+        starts at the leftmost start found, when it reaches back that far, and
+        takes that occurrence without a second find.
         """
         u, sa, rank, lcp = self.u, self.sa, self.rank, self.lcp
         a = cand.position - 1
@@ -193,31 +194,26 @@ class _EditedCounter:
         edited_below = a + c == n or (a + c < len(u) and t[a + c] < u[a + c])
         reach = _reach_bound(t, a, self.left[a])
         v = i = 0
-        while i < n:
+        while i < n - 1:  # no phrase reaches the last symbol, which is one of its own
             # 1. The nearest smaller base suffix that is not affected: its LCP
             # with x is the best of all unaffected ones, since LCPs with x do
-            # not grow going down the suffix array.  k is x's insertion point.
-            if i >= tail:
-                k = rank[i + b - tail] - 1
-                best = lcp[k]
+            # not grow going down the suffix array.  k is x's insertion point,
+            # next to u[i:] (x itself at a tail start), of 0-based rank r: x
+            # shares ``agree`` symbols with it and sorts below it if ``below``.
+            if i < tail:
+                r, agree, below = rank[i] - 1, a - i + c, edited_below
             else:
-                k = -1
-                if i < len(u):  # no neighbour to start from when appending at the end
-                    r, agree = rank[i] - 1, a - i + c
-                    if edited_below:
-                        if lcp[r] < agree:
-                            k, best = r, lcp[r]
-                    elif r + 1 == len(sa) or lcp[r + 1] < agree:
-                        k, best = r + 1, agree
-                if k < 0:  # x sorts on the side of u[i:] that edited_below says
-                    if i >= len(u):
-                        lo, hi = 0, len(sa)
-                    elif edited_below:
-                        lo, hi = 0, r
-                    else:
-                        lo, hi = r + 1, len(sa)
-                    k = bisect_left(sa, t[i:], lo, hi, key=lambda p: u[p - 1 :])
-                    best = _lce(t, i, u, sa[k - 1] - 1) if k else 0
+                r, agree, below = rank[i + b - tail] - 1, n - i, True
+            k = -1
+            if below:
+                if lcp[r] < agree:
+                    k, best = r, lcp[r]
+            elif r + 1 == len(sa) or lcp[r + 1] < agree:
+                k, best = r + 1, agree
+            if k < 0:  # x sorts on the side of u[i:] that ``below`` says
+                lo, hi = (0, r) if below else (r + 1, len(sa))
+                k = bisect_left(sa, t[i:], lo, hi, key=lambda p: u[p - 1 :])
+                best = _lce(t, i, u, sa[k - 1] - 1) if k else 0
             k -= 1
             while k >= 0:
                 p = sa[k]  # the 1-based start of the suffix of 0-based rank k
@@ -228,41 +224,34 @@ class _EditedCounter:
                 k -= 1
             else:  # every smaller base suffix is affected
                 best = 0
-            # 2. The edited suffix t[a:], when it is smaller than x and shares
-            # more than ``best`` symbols with it.
-            head = t[i : i + best + 1]
-            if a != i and t.startswith(head, a):
-                l = _lce(t, a, t, i)
-                if a + l == n or (i + l < n and t[a + l] < t[i + l]):
-                    best = l
-                    head = t[i : i + best + 1]
-            # 3. Each affected head t[j:] == x[:m] + t[a:], m = a - j, smaller
-            # than x when t[a:] is smaller than x[m:].  Its m cannot exceed
-            # ``reach``, and it does better than ``best`` only if x[:best + 1]
-            # starts it in t, for an m below best + 1 as for one above.  So the
-            # leftmost such start other than i in [a - reach, a) bounds every
-            # winning m (``top``), and no start at all rules the phrase out.  No
-            # smaller suffix shares all of x, so best = n - i - 1 cannot grow.
-            # (Conditionals, not min() and max() calls, at these steps.)
-            top = 0 if best >= n - i - 1 else reach if reach < n - i else n - i
-            if top:
-                j = t.find(head, a - top, a + best)
+            # 2. Each affected head t[j:] == x[:m] + t[a:], m = a - j, the edited
+            # suffix t[a:] being m = 0, is smaller than x when t[a:] is smaller
+            # than x[m:].  Its m cannot exceed ``reach``, and it does better than
+            # ``best`` only if x[:best + 1] starts it in t, for an m below best + 1
+            # as for one above.  So the leftmost such start other than i in
+            # [a - reach, a] bounds every winning m (``top``), and no start at all
+            # rules the phrase out.  No smaller suffix shares all of x, so
+            # best = n - i - 1 cannot grow.  (Conditionals, not min() and max() calls.)
+            if best < n - i - 1:
+                top = reach if reach < n - i else n - i
+                head = t[i : i + best + 1]
+                j = t.find(head, a - top, a + best + 1)
                 if j == i:
-                    j = t.find(head, i + 1, a + best)
-                top = a - j if j >= 0 else 0
+                    j = t.find(head, i + 1, a + best + 1)
+                top = a - j if j >= 0 else -1
                 # A winning head with m in [first, 2 ell) starts with x[:L] in t,
-                # L = max(ell, best + 1); an occurrence with m <= L crosses the
-                # edit and is such a head.  One window takes every m below
-                # 2 (best + 1), then the windows double.  The first window
-                # starts at the hit j unless it is too short to reach back to it.
-                ell, first, L = best + 1, 1, best + 1
+                # L = max(ell, best + 1); an occurrence with m <= L starts at or
+                # crosses the edit and is such a head.  One window takes every m
+                # below 2 (best + 1), then the windows double; the first starts at
+                # the hit j unless it is too short to reach back to it.
+                ell, first, L = best + 1, 0, best + 1
                 while first <= top:
                     if ell > L:
                         L = ell
                         head = t[i : i + L]
                     if 2 * ell <= top:
                         j = t.find(head, a - 2 * ell + 1, a - first + L)
-                    elif first > 1:
+                    elif first:
                         j = t.find(head, a - top, a - first + L)
                     while j >= 0:
                         m = a - j
@@ -276,7 +265,7 @@ class _EditedCounter:
                     first = ell = 2 * ell
             v += 1
             i += best or 1
-        return v
+        return v + 1
 
 
 def _reach_bound(t: str, a: int, left: int) -> int:
@@ -337,23 +326,15 @@ def ao_sensitivity_scan(text: str) -> AOSensitivityReport:
             "Reduce the alphabet or scan chosen orderings individually."
         )
     tree = _OrderingFreeTree(text)
-    per: dict[str, int] = {}
-    argmax = argmin = ""
-    max_v = -1
-    min_v = None
-    for ordering in all_orderings(symbols):
-        v = tree.v(ordering)
-        per[ordering.spec] = v
-        if v > max_v:
-            max_v, argmax = v, ordering.spec
-        if min_v is None or v < min_v:
-            min_v, argmin = v, ordering.spec
-    assert min_v is not None
+    per = {ordering.spec: tree.v(ordering) for ordering in all_orderings(symbols)}
+    # max and min keep the first of equal counts, in enumeration order.
+    argmax = max(per, key=per.__getitem__)
+    argmin = min(per, key=per.__getitem__)
     return AOSensitivityReport(
         per_ordering=per,
-        max_v=max_v,
-        min_v=min_v,
-        ratio=Fraction(max_v, min_v),
+        max_v=per[argmax],
+        min_v=per[argmin],
+        ratio=Fraction(per[argmax], per[argmin]),
         argmax=argmax,
         argmin=argmin,
     )

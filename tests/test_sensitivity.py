@@ -125,13 +125,19 @@ def test_scan_rows_match_per_candidate_rebuilds_on_texts_with_runs(text):
             kind, ordering.spec)
 
 
-@pytest.mark.parametrize("kind, spec", [("sub", "ab"), ("ins", "$ab"), ("del", "ab")])
+@pytest.mark.parametrize(
+    "kind, spec",
+    [("sub", "ab"), ("ins", "$ab"), ("del", "ab"), ("sub", "abc"), ("ins", "$abc"), ("del", "abc")],
+)
 def test_scan_rows_match_per_candidate_rebuilds_on_every_short_binary_word(kind, spec):
     # all 508 words over {a, b} of length 2..8: every edit position, reach
-    # and head window these lengths allow
+    # and head window these lengths allow; and all 360 over {a, b, c} of
+    # length 2..5, where a substituted symbol can sort between the other two
+    # and an inserted $ below all three
+    symbols = spec.lstrip("$")
     ordering = AlphabetOrdering.from_string(spec)
-    for length in range(2, 9):
-        for w in itertools.product("ab", repeat=length):
+    for length in range(2, 9 if len(symbols) == 2 else 6):
+        for w in itertools.product(symbols, repeat=length):
             text = "".join(w)
             report = edit_sensitivity_scan(text, kind, ordering, keep_rows=True)
             assert [r.v for r in report.rows] == edit_scan_oracle(text, kind, ordering), text
