@@ -68,11 +68,12 @@ def lyndon_factorize(w: str, ordering: AlphabetOrdering | None = None) -> Lyndon
     ``_SCAN`` symbols, and past that by one longest-common-extension query
     over slice comparisons (:func:`lexparse.textops._lce`), so a stretch
     thousands of symbols long costs O(log length) slices.  Symbols are
-    renamed to ``chr(rank)``, so that ``str`` comparison is the order under
-    the ordering.
+    renamed to their ranks, one byte each (an ordering has at most
+    ``MAX_ALPHABET`` = 256 symbols), so that comparing the bytes is the
+    order under the ordering.
     """
     ordering = AlphabetOrdering.for_text(w, ordering)
-    s = w.translate({ord(c): chr(r) for r, c in enumerate(ordering.symbols)})
+    s = w.translate({ord(c): r for r, c in enumerate(ordering.symbols)}).encode("latin-1")
     n = len(s)
     raw: list[str] = []
     i = 0

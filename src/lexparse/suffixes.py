@@ -3,12 +3,15 @@
 The ordering is absorbed by renaming symbols to their ranks before
 construction, so one code path serves every ordering.  Construction is
 SA-IS (linear time, by induced sorting) over the ranks shifted up by one,
-behind one symbol above them all and with a virtual sentinel 0 appended,
-so that SA-IS returns 1-based text positions; a naive full sort is kept
-permanently as the test oracle.  The adjacent-rank LCP array is not part of
-construction: it is computed (Kasai) on first use of ``SuffixArray.lcp``;
-the edit scans and the ordering scan read it, the lex-parse does not.  All
-positions and ranks in the public contract are 1-based.
+behind one symbol above them all and with a sentinel 0 appended, so that
+SA-IS returns 1-based text positions; a naive full sort is kept
+permanently as the test oracle.  Each SA-IS level whose alphabet fits in a
+byte holds its string as ``bytes``: the top level for orderings of up to
+254 symbols, and every reduced string of at most 256 names.  The
+adjacent-rank LCP array is not part of construction: it is computed
+(Kasai) on first use of ``SuffixArray.lcp``; the edit scans and the
+ordering scan read it, the lex-parse does not.  All positions and ranks in
+the public contract are 1-based.
 """
 
 from __future__ import annotations
@@ -109,15 +112,15 @@ def build_suffix_array(text: str, ordering: AlphabetOrdering | None = None) -> S
     ordering = AlphabetOrdering.for_text(text, ordering)
     top = len(ordering.symbols) + 1
     # A leading symbol above every other makes each text position its own
-    # 1-based index in s, and its suffix sorts last; the virtual sentinel 0
-    # at the end, smaller than every symbol, sorts first.  It is inserted in
-    # place, so that no second list of n entries is ever held.
-    s = [c + 1 for c in ordering.key(text)]
-    s.insert(0, top)
-    s.append(0)
+    # 1-based index in s, and its suffix sorts last; the sentinel 0 at the
+    # end, smaller than every symbol, sorts first.
+    s = chr(top) + text.translate({ord(c): r for r, c in enumerate(ordering.symbols, 1)}) + "\0"
+    s = s.encode("latin-1") if _fits_a_byte(top + 1) else list(map(ord, s))
     sa1 = _sais(s, top + 1)
-    del s, sa1[0], sa1[-1]  # the sentinel's suffix and the leading symbol's
-    return _finish(text, ordering, sa1)
+    del s
+    sa = array("i", sa1)
+    del sa1, sa[0], sa[-1]  # the sentinel's suffix and the leading symbol's
+    return _finish(text, ordering, sa)
 
 
 def build_suffix_array_naive(text: str, ordering: AlphabetOrdering | None = None) -> SuffixArray:
@@ -128,26 +131,36 @@ def build_suffix_array_naive(text: str, ordering: AlphabetOrdering | None = None
     ordering = AlphabetOrdering.for_text(text, ordering)
     ranks = ordering.key(text)
     order = sorted(range(1, len(ranks) + 1), key=lambda i: ranks[i - 1 :])
-    return _finish(text, ordering, order)
+    return _finish(text, ordering, array("i", order))
 
 
-def _sais(s: list[int], k: int) -> list[int]:
+def _fits_a_byte(k: int) -> bool:
+    """Whether a level over the alphabet ``0..k-1`` is held as ``bytes``."""
+    return k <= 256
+
+
+def _sais(s: bytes | list[int], k: int) -> list[int]:
     """0-based suffix array of ``s`` by SA-IS (Nong, Zhang & Chan, DCC 2009).
 
-    ``s`` ends with its only 0; its other symbols lie in ``1..k-1``.  The
+    ``s`` ends with its only 0; its other symbols lie in ``1..k-1``.  A
+    level with ``k <= 256`` comes as ``bytes`` (see :func:`_fits_a_byte`),
+    a wider one as a list: a byte string of n symbols takes n bytes where
+    the list takes 8n, and indexing it returns cached small ints.  The
     LMS substrings are named by one sort, not by an induce pass: SA-IS
     orders them as their sequences of (symbol, type) pairs, S above L at
-    equal symbols, and ``2 * symbol + type`` packed big-endian into one
-    bytes buffer makes that order the bytes order of their slices.  No
+    equal symbols, so each pair goes into one bytes buffer as the big-endian
+    code ``2 * symbol + type`` (two bytes on a byte level, symbol then
+    type), which makes that order the bytes order of their slices.  No
     LMS substring is a proper prefix of another (where the shorter ends,
     the longer would hold an LMS position too), so ``memcmp`` decides.
     Only the final induce pass remains.  It writes into a Python list,
     about 40 bytes a slot with the int object it holds; ``array('i')``
     would take 4, but it made builds of Fibonacci words 5-20% slower.  The
     LMS positions and their order are freed once placed, so the traced
-    peak is that list beside ``s`` on random ``acgt`` and Fibonacci words,
-    about 49-53 bytes a symbol; over all 256 byte values it is about 67, in
-    the recursion, whose bucket lists hold an int object per reduced symbol.
+    peak is that list beside the byte levels on random ``acgt`` and
+    Fibonacci words, about 44 bytes a symbol; over all 256 byte values the
+    top level is a list, and the peak is about 67, in the recursion, whose
+    bucket lists hold an int object per reduced symbol.
     """
     n = len(s)
     # stype[i] is 1 when suffix i is S-type (smaller than suffix i+1), 0 when L-type.
@@ -168,12 +181,20 @@ def _sais(s: list[int], k: int) -> list[int]:
 
     # A substring reaches up to and including the next LMS position; the
     # sentinel's is its own code alone, the smallest key of all.
-    codes = array("I", map(add, map(add, s, s), stype))
-    if sys.byteorder == "little":
-        codes.byteswap()
-    w = codes.itemsize
-    buf = codes.tobytes()
-    del codes
+    if _fits_a_byte(k):
+        w = 2
+        pairs = bytearray(2 * n)
+        pairs[0::2] = s
+        pairs[1::2] = stype
+        buf = bytes(pairs)  # its slices are bytes, 24 bytes smaller a key than bytearrays
+        del pairs
+    else:
+        codes = array("I", map(add, map(add, s, s), stype))
+        if sys.byteorder == "little":
+            codes.byteswap()
+        w = codes.itemsize
+        buf = codes.tobytes()
+        del codes
     keys = [buf[w * a : w * b + w] for a, b in zip(lms, lms[1:])]
     keys.append(buf[w * (n - 1) :])
     del buf
@@ -189,6 +210,8 @@ def _sais(s: list[int], k: int) -> list[int]:
     del keys
     if last + 1 < m:  # repeated names: sort the reduced string of names
         del order
+        if _fits_a_byte(last + 1):
+            names = bytes(names)
         order = _sais(names, last + 1)
     del names
 
@@ -196,9 +219,12 @@ def _sais(s: list[int], k: int) -> list[int]:
     # the L-type suffixes left to right and the S-type suffixes right to left.
     # Both passes iterate over sa while writing into it: every write lands
     # ahead of the iterator, which reads each slot when it reaches it.
-    counts = [0] * k
-    for c in s:
-        counts[c] += 1
+    if _fits_a_byte(k):
+        counts = list(map(s.count, range(k)))
+    else:
+        counts = [0] * k
+        for c in s:
+            counts[c] += 1
     tails = list(accumulate(counts))  # the bucket of symbol c is sa[head[c]:tails[c]]
     head = [t - c for t, c in zip(tails, counts)]
     del counts
@@ -228,10 +254,15 @@ def _sais(s: list[int], k: int) -> list[int]:
     return sa
 
 
-def _finish(text: str, ordering: AlphabetOrdering, sa1: list[int]) -> SuffixArray:
-    """Package 1-based suffix starts, in rank order, and their inverse as arrays."""
-    rank = array("i", bytes(4 * (len(sa1) + 1)))
-    for r, p in enumerate(sa1, 1):
+def _finish(text: str, ordering: AlphabetOrdering, sa: array) -> SuffixArray:
+    """Package 1-based suffix starts, in rank order, with their inverse.
+
+    ``sa`` comes as an ``array('i')``: the caller drops SA-IS's list of int
+    objects before the inverse is built, so the two arrays, 8 bytes a
+    symbol, are all that is held here.
+    """
+    rank = array("i", bytes(4 * (len(sa) + 1)))
+    for r, p in enumerate(sa, 1):
         rank[p] = r
     del rank[0]
-    return SuffixArray(text=text, ordering=ordering, sa=array("i", sa1), rank=rank)
+    return SuffixArray(text=text, ordering=ordering, sa=sa, rank=rank)

@@ -53,9 +53,10 @@ def is_primitive(w: str) -> bool:
 _SCAN = 32
 
 
-def _lce(s: str, i: int, t: str, j: int) -> int:
-    """Length of the longest common prefix of ``s[i:]`` and ``t[j:]``, by galloping
-    and then binary search over slice comparisons."""
+def _lce(s: str | bytes, i: int, t: str | bytes, j: int) -> int:
+    """Length of the longest common prefix of ``s[i:]`` and ``t[j:]`` (two
+    ``str`` or two ``bytes``), by galloping and then binary search over slice
+    comparisons."""
     end = min(len(s) - i, len(t) - j)
     lo, step = 0, 8
     while lo < end:

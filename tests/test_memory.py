@@ -49,17 +49,20 @@ def acgt(n):
 
 
 def test_suffix_array_peak_on_a_random_text():
-    # 49.4 here; 53.9 when an induce pass named the LMS substrings
+    # 43.7 here, with every SA-IS level held as bytes; 49.4 when each level
+    # was a list, and 53.9 when, besides, an induce pass named the LMS substrings
     text = acgt(20_000)
-    assert peak_bytes_per_symbol(len(text), build_suffix_array, text) <= 60
+    assert peak_bytes_per_symbol(len(text), build_suffix_array, text) <= 50
 
 
 def test_suffix_array_peak_on_a_fibonacci_word():
     # The Fibonacci word has more LMS positions than a random text, and
-    # recurses.  52.6 here; 55.2 when an induce pass named the LMS substrings.
+    # recurses.  43.7 here, with every level held as bytes; 52.6 when each
+    # level was a list, and 55.2 when, besides, an induce pass named the LMS
+    # substrings.
     text = fibonacci(22)
     assert len(text) == 17_711
-    assert peak_bytes_per_symbol(len(text), build_suffix_array, text) <= 60
+    assert peak_bytes_per_symbol(len(text), build_suffix_array, text) <= 50
 
 
 def test_suffix_array_peak_over_all_byte_values():
@@ -91,13 +94,14 @@ def test_from_lines_peak():
 
 
 def test_edit_scan_peak():
-    # 42.5 here, taken at the counter's set-up, which builds one suffix
-    # array and fills the scan's reach table from its LCPs.  48.6 when the
-    # table came from a suffix array of the reversed text, dropped before
-    # the text's own was built; 53.8 when, besides, an induce pass named the
-    # LMS substrings, and 129.6 when the reversed array was kept and the
-    # table was a list.  The counter reads its suffix array as built; 96.7
-    # when it kept 0-based list copies of ``sa`` and ``rank``.
+    # 37.9 here, taken at the counter's set-up, which builds one suffix
+    # array and fills the scan's reach table from its LCPs.  42.8 when SA-IS
+    # held its levels as lists, and 48.6 when, besides, the table came from
+    # a suffix array of the reversed text, dropped before the text's own was
+    # built; 53.8 when, besides, an induce pass named the LMS substrings, and
+    # 129.6 when the reversed array was kept and the table was a list.  The
+    # counter reads its suffix array as built; 96.7 when it kept 0-based list
+    # copies of ``sa`` and ``rank``.
     text = fibonacci(15)
     assert len(text) == 610
     ordering = AlphabetOrdering.from_string("ab")
@@ -128,13 +132,14 @@ def test_edit_candidates_hold_no_copy_of_the_text():
 
 def test_verify_peak():
     # k = 10 builds its largest suffix array on f(20) = 6,765 symbols.  The
-    # groups share only the edited word's array: 68.3 here.  When an induce
-    # pass named the LMS substrings it was 71.2, and 71.5 when every group
-    # built its own.  Also keeping the one-group array of
-    # F_20[:-2] until k moves on reached 80.7.
+    # groups share only the edited word's array: 59.3 here, with every SA-IS
+    # level held as bytes, and 68.2 when each level was a list.  When an
+    # induce pass named the LMS substrings it was 71.2, and 71.5 when every
+    # group built its own.  Also keeping the one-group array of F_20[:-2]
+    # until k moves on reached 80.7.
     n = fib_length(20)
     assert n == 6_765
-    assert peak_bytes_per_symbol(n, run_verification, [10]) <= 76
+    assert peak_bytes_per_symbol(n, run_verification, [10]) <= 66
 
 
 def test_phrases_carry_no_instance_dictionary():

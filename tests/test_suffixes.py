@@ -188,6 +188,50 @@ def test_sais_over_an_alphabet_wider_than_two_bytes(monkeypatch):
     assert sais_levels(monkeypatch, s, k) >= 2
 
 
+def sais_level_types(monkeypatch, w, ordering=None):
+    """``build_suffix_array(w, ordering)`` checked against the oracle; returns
+    the type of the string each SA-IS level sorts, top level first, after
+    checking that a level is ``bytes`` exactly when its alphabet fits a byte."""
+    levels = []
+
+    def recorded(s, k):
+        levels.append((type(s), k))
+        return _sais(s, k)
+
+    monkeypatch.setattr(suffixes, "_sais", recorded)
+    assert_matches_naive(w, ordering)
+    assert all((t is bytes) == (k <= 256) for t, k in levels), levels
+    return [t for t, _ in levels]
+
+
+def test_sais_top_level_is_bytes_up_to_254_symbols(monkeypatch):
+    # the top level's alphabet is the sentinel, the ranks shifted up by one and
+    # the leading symbol: k = sigma + 2
+    rng = random.Random(254)
+    for sigma, top in ((253, bytes), (254, bytes), (255, list), (256, list)):
+        symbols = [chr(c) for c in range(sigma)]
+        rng.shuffle(symbols)
+        w = "".join(symbols) + "".join(rng.choices(symbols, k=1_000))
+        types = sais_level_types(monkeypatch, w, AlphabetOrdering(tuple(symbols)))
+        assert types[0] is top, sigma
+
+
+def test_sais_recursion_switches_between_bytes_and_lists(monkeypatch):
+    # A block repeated twice repeats every LMS substring, so SA-IS recurses;
+    # the names of a random block of 1,000-1,200 symbols outnumber a byte.
+    rng = random.Random(2_000)
+    values = [chr(c) for c in range(256)]
+    rng.shuffle(values)
+    block = "".join(rng.choices(values, k=1_000))
+    assert sais_level_types(monkeypatch, "".join(values) + block * 2)[:3] == [list, list, bytes]
+    block = "".join(rng.choices("abcdefghijklmnopqrst", k=1_200))
+    assert sais_level_types(monkeypatch, block * 2)[:3] == [bytes, list, bytes]
+    # a short block gives few names: a list level over all 256 values recurses on bytes
+    block = "".join(rng.choices(values, k=30))
+    assert sais_level_types(monkeypatch, "".join(values) + block * 10)[:2] == [list, bytes]
+    assert set(sais_level_types(monkeypatch, fibonacci(14), ORD_AB)) == {bytes}
+
+
 def test_suffix_array_of_random_bytes_is_sorted():
     # 200,000 symbols: past what the quadratic oracle can sort, with codes
     # above one byte; suffixes compare on 32-symbol slices, fully on a tie
