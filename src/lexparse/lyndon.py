@@ -70,12 +70,14 @@ def lyndon_factorize(w: str, ordering: AlphabetOrdering | None = None) -> Lyndon
     thousands of symbols long costs O(log length) slices.  Symbols are
     renamed to their ranks, one byte each (an ordering has at most
     ``MAX_ALPHABET`` = 256 symbols), so that comparing the bytes is the
-    order under the ordering.
+    order under the ordering.  Each run of a factor is emitted whole, as the
+    factor and its exponent: the factor that follows is a proper prefix of
+    this one, or a prefix followed by a smaller symbol, so it never repeats it.
     """
     ordering = AlphabetOrdering.for_text(w, ordering)
     s = w.translate({ord(c): r for r, c in enumerate(ordering.symbols)}).encode("latin-1")
     n = len(s)
-    raw: list[str] = []
+    factors: list[tuple[str, int]] = []
     i = 0
     while i < n:
         j, k = i + 1, i
@@ -97,16 +99,10 @@ def lyndon_factorize(w: str, ordering: AlphabetOrdering | None = None) -> Lyndon
             else:
                 break
         period = j - k
-        while i <= k:
-            raw.append(w[i : i + period])
-            i += period
-    grouped: list[tuple[str, int]] = []
-    for lam in raw:
-        if grouped and grouped[-1][0] == lam:
-            grouped[-1] = (lam, grouped[-1][1] + 1)
-        else:
-            grouped.append((lam, 1))
-    return LyndonFactorization(tuple(grouped), ordering)
+        p = (k - i) // period + 1
+        factors.append((w[i : i + period], p))
+        i += p * period
+    return LyndonFactorization(tuple(factors), ordering)
 
 
 def significant_suffixes(w: str, ordering: AlphabetOrdering | None = None) -> list[int]:

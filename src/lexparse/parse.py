@@ -55,51 +55,6 @@ class Copy:
 Phrase = Union[Explicit, Copy]
 
 
-def _check(lengths: tuple, sources: tuple, n: object, ordering: object) -> None:
-    """Raise :class:`MalformedParseError` at the first breach of :class:`LexParse`'s
-    rules by two phrase columns of equal length."""
-    if type(n) is not int or n < 1:
-        raise MalformedParseError(f"text length {n!r} is not an integer >= 1")
-    if not isinstance(ordering, AlphabetOrdering):
-        raise MalformedParseError(f"ordering {ordering!r} is not an AlphabetOrdering")
-    symbols = set(ordering.symbols)
-    pos = 1
-    for length, source in zip(lengths, sources):
-        if type(source) is str:
-            if source not in symbols or length != 1 or type(length) is not int:
-                raise _explicit_fault(pos, length, source, ordering)
-        elif (
-            type(length) is not int
-            or length < 1
-            or type(source) is not int
-            or not 1 <= source <= n - length + 1
-        ):
-            raise _fault(pos, length, source, n)
-        pos += length
-    if pos - 1 != n:
-        raise MalformedParseError(f"phrase lengths sum to {pos - 1}, expected {n}")
-
-
-def _explicit_fault(
-    pos: int, length: object, symbol: str, ordering: AlphabetOrdering
-) -> MalformedParseError:
-    if symbol not in ordering.symbols:
-        return MalformedParseError(
-            f"explicit phrase at {pos} holds {symbol!r}, not a symbol of the ordering {ordering.spec!r}"
-        )
-    return MalformedParseError(f"explicit phrase at {pos} has length {length!r}, not 1")
-
-
-def _fault(pos: int, length: object, source: object, n: int) -> MalformedParseError:
-    """The fault of a column entry that is neither a symbol nor a well-formed copy."""
-    if type(length) is not int or length < 1:
-        return MalformedParseError(f"copy phrase at {pos} has length {length!r}")
-    return MalformedParseError(
-        f"copy phrase at {pos} of length {length} has source {source!r} "
-        f"outside [1..{n - length + 1}]"
-    )
-
-
 @dataclass(frozen=True)
 class LexParse:
     """An ordered phrase sequence covering a text of length ``n``, well formed by construction.
@@ -108,11 +63,12 @@ class LexParse:
     equal length, ``columns == (lengths, sources)``.  ``n`` is an exact
     ``int`` >= 1 (not a ``bool``, a ``float`` or a numeric string) and
     ``ordering`` an :class:`AlphabetOrdering` (not its spec string); an
-    explicit phrase is the length 1 and a ``str`` source, one symbol of the
-    ordering; a copy phrase is an exact-``int`` length >= 1 and an ``int``
-    source with ``1 <= source <= n - length + 1``; the phrase lengths sum to
-    ``n``.  Construction, unpickling and copying raise
-    :class:`MalformedParseError` on a breach of these rules.  Reference
+    explicit phrase is a ``str`` source, one symbol of the ordering, and
+    the length 1; a copy phrase is an exact-``int`` length >= 1 and an
+    ``int`` source with ``1 <= source <= n - length + 1``; the phrase
+    lengths sum to ``n``.  Construction, unpickling and copying test these
+    rules in this order, phrase by phrase, and raise
+    :class:`MalformedParseError` at the first breach.  Reference
     cycles are the one fault left to :func:`decode`.  A parse is immutable
     and hashable, and parses compare equal when their columns, ``n`` and
     ordering do.
@@ -134,7 +90,32 @@ class LexParse:
             and len(columns[0]) == len(columns[1])
         ):
             raise MalformedParseError("the phrase columns are not two tuples of equal length")
-        _check(*columns, self.n, self.ordering)
+        n, ordering = self.n, self.ordering
+        if type(n) is not int or n < 1:
+            raise MalformedParseError(f"text length {n!r} is not an integer >= 1")
+        if not isinstance(ordering, AlphabetOrdering):
+            raise MalformedParseError(f"ordering {ordering!r} is not an AlphabetOrdering")
+        symbols = set(ordering.symbols)
+        pos = 1
+        for length, source in zip(*columns):
+            if type(source) is str:
+                if source not in symbols:
+                    raise MalformedParseError(
+                        f"explicit phrase at {pos} holds {source!r}, "
+                        f"not a symbol of the ordering {ordering.spec!r}"
+                    )
+                if type(length) is not int or length != 1:
+                    raise MalformedParseError(f"explicit phrase at {pos} has length {length!r}, not 1")
+            elif type(length) is not int or length < 1:
+                raise MalformedParseError(f"copy phrase at {pos} has length {length!r}")
+            elif type(source) is not int or not 1 <= source <= n - length + 1:
+                raise MalformedParseError(
+                    f"copy phrase at {pos} of length {length} has source {source!r} "
+                    f"outside [1..{n - length + 1}]"
+                )
+            pos += length
+        if pos - 1 != n:
+            raise MalformedParseError(f"phrase lengths sum to {pos - 1}, expected {n}")
 
     def __reduce__(self):
         return type(self), (self.columns, self.n, self.ordering)
@@ -330,6 +311,9 @@ _RECORD = re.compile(
     rf"{_SPACE}*(?={_BREAK}|\Z)"
     rf"|{_NOT_BREAK}+|\s+\Z)"
 )
+# A backslash and the escape it opens, "\\" or "\xNN"; group 1 is None
+# where it opens neither.
+_ESCAPE = re.compile(r"\\(\\|x[0-9a-fA-F]{2})?")
 
 
 def _escape_symbol(c: str) -> str:
@@ -342,23 +326,11 @@ def _escape_symbol(c: str) -> str:
     return f"\\x{ord(c):02x}"
 
 
-def _unescape_symbols(s: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(s):
-        if s[i] == "\\":
-            if s[i : i + 2] == "\\\\":
-                out.append("\\")
-                i += 2
-            elif s[i + 1 : i + 2] == "x" and re.fullmatch("[0-9a-fA-F]{2}", h := s[i + 2 : i + 4]):
-                out.append(chr(int(h, 16)))
-                i += 4
-            else:
-                raise MalformedParseError(f"bad escape in {s!r}")
-        else:
-            out.append(s[i])
-            i += 1
-    return out
+def _unescape(m: re.Match) -> str:
+    """The symbol an :data:`_ESCAPE` match stands for; substituted over a field."""
+    if m[1] is None:
+        raise MalformedParseError(f"bad escape in {m.string!r}")
+    return "\\" if m[1] == "\\" else chr(int(m[1][1:], 16))
 
 
 def _decimal(s: str) -> int:
@@ -439,7 +411,7 @@ def _read_lines(serialized: str) -> tuple[int, AlphabetOrdering, tuple, tuple]:
     add_length, add_source = lengths.append, sources.append
     try:
         n = _decimal(head[1])
-        ordering = AlphabetOrdering(tuple(_unescape_symbols(head[2])))
+        ordering = AlphabetOrdering(tuple(_ESCAPE.sub(_unescape, head[2])))
         # islice takes no count past sys.maxsize; a payload has fewer records than characters.
         records = _RECORD.finditer(serialized, end)
         for ln, length, source, symbol, escaped in map(
@@ -450,7 +422,7 @@ def _read_lines(serialized: str) -> tuple[int, AlphabetOrdering, tuple, tuple]:
                 add_source(int(source))
             elif symbol or escaped:
                 add_length(1)
-                add_source(symbol or "".join(_unescape_symbols(escaped)))
+                add_source(symbol or _ESCAPE.sub(_unescape, escaped))
             elif not ln.isspace():
                 fields = ln.split()
                 if len(fields) == 3 and fields[0] == "C":  # a copy record says which number is bad

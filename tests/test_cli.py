@@ -477,6 +477,44 @@ def test_decode_reads_no_more_than_the_limit(capsys, monkeypatch, tmp_path):
     path.unlink()
 
 
+def test_decode_reads_a_payload_over_a_megabyte_in_chunks(capsys, monkeypatch, tmp_path):
+    # stdin with no file descriptor behind it is read as a pipe is, a
+    # megabyte at a time, until the input ends: this JSON payload takes two
+    # chunks and comes back byte for byte
+    text = random.Random(1).randbytes(40_000)
+    text_path, parse_path = tmp_path / "text", tmp_path / "parse"
+    text_path.write_bytes(text)
+    run_cli(capsys, "parse", "--file", str(text_path), "--format", "json", "--out", str(parse_path))
+    payload = parse_path.read_bytes()
+    assert 1 << 20 < len(payload) < 2 << 20
+    stdin = CountingBytes(payload)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin, encoding="utf-8"))
+    assert run_cli(capsys, "decode") == (0, text.decode("latin-1") + "\n", "")
+    assert stdin.bytes_read == len(payload)
+
+
+def test_decode_stops_a_chunked_read_at_the_limit(capsys, monkeypatch):
+    # Padded to the limit, a payload read in chunks decodes; one byte longer,
+    # the read stops one byte past the limit and the payload is refused.
+    monkeypatch.setenv("LEXPARSE_MAX_N", "30000")
+    limit = max_payload(30000)
+    assert limit == 1_473_164
+    head = b"LEXPARSE 30000 a\nE a\nC 29999 1\n"
+    for size in (limit, limit + 1, 3 << 20):
+        stdin = CountingBytes(head.ljust(size))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin, encoding="utf-8"))
+        code, out, err = run_cli(capsys, "decode")
+        assert stdin.bytes_read == min(size, limit + 1)
+        if size == limit:
+            assert (code, out, err) == (0, "a" * 30000 + "\n", "")
+        else:
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: cannot decode parse: the payload is longer than 1473164 bytes, the "
+                "most a parse of at most 30000 symbols takes (raise LEXPARSE_MAX_N to allow it)\n"
+            ), err
+
+
 def test_out_write_errors_exit_2(capsys, tmp_path):
     for argv in (
         ["gen", "--gen", "fib:5", "--out", str(tmp_path / "missing" / "x")],

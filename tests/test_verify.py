@@ -3,8 +3,12 @@ import pytest
 import lexparse.parse
 import lexparse.verify
 from conftest import record_builds
+from lexparse.cli import main
+from lexparse.closedforms import EditedFibDecomposition
 from lexparse.fibwords import edited_fib
+from lexparse.suffixes import build_suffix_array
 from lexparse.verify import (
+    ORD_AB,
     CheckResult,
     GROUP_NAMES,
     GROUPS,
@@ -110,3 +114,53 @@ def test_all_passed_ignores_informational_failures():
     assert all_passed(results)
     results.append(CheckResult("g", "c", 6, False))
     assert not all_passed(results)
+
+
+def _shifted(real, at, by):
+    """``real``, a closed form of an index i (its last argument), off by ``by`` from i = ``at`` on."""
+    return lambda *args: real(*args) + (by if args[-1] >= at else type(by)())
+
+
+def _left_ref_detail(k):
+    start = EditedFibDecomposition(k).left_ref_start(2)
+    return f"left reference broken at i=2: prev={start}, expected {start + 1}"
+
+
+def _chain_detail(k):
+    dec = EditedFibDecomposition(k)
+    z = dec.z_start(k - 2) + 1
+    prev = build_suffix_array(edited_fib(2 * k), ORD_AB).previous_suffix(z)
+    return f"prev of suffix {z} is {prev}, expected {dec.z_start(k - 3)}"
+
+
+# (group, check, owner of the closed form, its name, first index off, offset, detail at k)
+_BROKEN_FORMS = [
+    ("edited", "decomposition_identities", EditedFibDecomposition, "x_expected", 3, "a",
+     lambda k: "identity broken at i=3"),
+    ("edited", "suffix_chain_refs", EditedFibDecomposition, "z_start", 7, 1, _chain_detail),
+    ("edited", "left_refs", EditedFibDecomposition, "left_ref_start", 2, 1, _left_ref_detail),
+    ("orderings", "suffix_pairs", lexparse.verify, "gib_suffix_start", 4, 1,
+     lambda k: "suffix pair broken at i=4"),
+]
+
+
+@pytest.mark.parametrize(
+    "group, name, owner, form, at, by, detail",
+    _BROKEN_FORMS,
+    ids=[case[1] for case in _BROKEN_FORMS],
+)
+def test_a_broken_closed_form_fails_its_check_at_the_first_bad_index(
+    capsys, monkeypatch, group, name, owner, form, at, by, detail
+):
+    # Each of these checks loops over i and stops at the first failing index.
+    # One closed form, off from one index of k = 9 on (z_start from k - 2 = 7,
+    # which only the chain reads), fails that check alone, with that index in
+    # its detail, and fails `lexparse verify`.
+    k = 9
+    want = f"FAIL   {group}/{name} k={k}  [{detail(k)}]"
+    monkeypatch.setattr(owner, form, _shifted(getattr(owner, form), at, by))
+    results = run_verification([k], only=group)
+    assert [r.line() for r in results if not r.ok] == [want]
+    assert not all_passed(results)
+    assert main(["verify", "--k", str(k), "--only", group]) == 1
+    assert want in capsys.readouterr().out.splitlines()
