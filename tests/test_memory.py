@@ -78,6 +78,20 @@ def test_suffix_array_peak_over_all_byte_values():
     assert peak_bytes_per_symbol(len(text), build_suffix_array, text) <= 85
 
 
+def test_suffix_array_peak_at_the_widest_byte_level():
+    # 254 symbols make the top level's alphabet 256 wide, the widest held as
+    # bytes, and its LMS substrings all distinct.  44.2 here, where the level
+    # collects its distinct keys in a dict of keys alone and, finding them
+    # all distinct, sorts the LMS indices by key; 45.7 when it sorted them
+    # and named them in a loop, and 52.6 when the dict mapped each key to
+    # its index and the order came from the dict's sorted keys.
+    rng = random.Random(254)
+    symbols = [chr(c) for c in range(254)]
+    text = "".join(symbols) + "".join(rng.choices(symbols, k=20_000 - 254))
+    assert len(text) == 20_000
+    assert peak_bytes_per_symbol(len(text), build_suffix_array, text) <= 46
+
+
 def test_decode_peak():
     text = acgt(20_000)
     parse = lex_parse(text)

@@ -132,30 +132,105 @@ def test_sais_matches_naive_over_all_256_byte_values():
     assert_matches_naive(w, AlphabetOrdering(forward.symbols[::-1]))
 
 
+def types_by_definition(s):
+    """Suffix types of ``s`` symbol by symbol, right to left: 1 where suffix
+    i is S-type, 0 where it is L-type; the last suffix is S-type."""
+    n = len(s)
+    stype = [1] * n
+    for i in range(n - 2, -1, -1):
+        stype[i] = int(s[i] < s[i + 1] or (s[i] == s[i + 1] and stype[i + 1]))
+    return stype
+
+
+def lms_positions(stype):
+    return [i for i in range(1, len(stype)) if stype[i] and not stype[i - 1]]
+
+
 def lms_substrings(s):
     """The LMS substrings of ``s`` as (symbol, type) tuples, by definition,
     each up to and including the next LMS position."""
     n = len(s)
-    stype = [True] * n
-    for i in range(n - 2, -1, -1):
-        stype[i] = s[i] < s[i + 1] or (s[i] == s[i + 1] and stype[i + 1])
-    lms = [i for i in range(1, n) if stype[i] and not stype[i - 1]]
+    stype = types_by_definition(s)
+    lms = lms_positions(stype)
     ends = lms[1:] + [n - 1]
     return [tuple(zip(s[a : b + 1], stype[a : b + 1])) for a, b in zip(lms, ends)]
 
 
+def run_heavy_level(rng, pool, n):
+    """``n`` symbols ending with the sentinel 0, the others drawn from ``pool``
+    in runs of 1 to 9."""
+    s = []
+    while len(s) < n - 1:
+        s += [rng.choice(pool)] * rng.randint(1, 9)
+    return s[: n - 1] + [0]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, suffixes._TYPE_CHUNK])
+def test_types_match_the_definition(monkeypatch, chunk):
+    # chunks of a few positions put their boundaries inside runs and on LMS
+    # positions; the carry into each chunk is the type of its right neighbour
+    monkeypatch.setattr(suffixes, "_TYPE_CHUNK", chunk)
+    rng = random.Random(chunk)
+    pools = {2: (1,), 3: (1, 2), 256: (1, 2, 128, 254, 255), 70_000: (1, 255, 256, 65_535, 65_536, 69_999)}
+    # n = 1 and 2, an S-type position 0, and every suffix but the sentinel's L-type
+    levels = [([0], 2), ([1, 0], 2), ([1, 1, 2, 0], 3), ([1, 1, 1, 0], 2)]
+    for k, pool in pools.items():
+        levels += [(run_heavy_level(rng, pool, rng.randint(1, 60)), k) for _ in range(60)]
+    on_lms = 0
+    for s, k in levels:
+        want = types_by_definition(s)
+        assert list(suffixes._types(s, k)) == want, (s, k)
+        if k <= 256:  # a byte level, as bytes and as a list
+            assert list(suffixes._types(bytes(s), k)) == want, (s, k)
+        boundaries = range(len(s) - 1 - chunk, 0, -chunk)
+        on_lms += len(set(lms_positions(want)).intersection(boundaries))
+    assert on_lms > 0 or chunk > 60
+
+
+def byte_keys(s):
+    """``_byte_keys`` of a byte level ``s``, with types and LMS flags by definition."""
+    stype = types_by_definition(s)
+    lms = set(lms_positions(stype))
+    lms_at = bytes(i in lms for i in range(1, len(s)))
+    return suffixes._byte_keys(bytes(s), bytearray(stype), lms_at)
+
+
+def assert_keys_order_like_substrings(s):
+    keys, subs = byte_keys(s), lms_substrings(s)
+    assert len(keys) == len(subs), s
+    assert keys[-1] == b""  # the sentinel's
+    for i in range(len(keys)):
+        for j in range(len(keys)):
+            assert (keys[i] < keys[j], keys[i] == keys[j]) == (subs[i] < subs[j], subs[i] == subs[j]), (s, i, j)
+
+
+def test_byte_keys_split_at_the_lms_positions():
+    # m = 1: the sentinel is the only LMS position, and its key is the only key
+    assert byte_keys([3, 2, 2, 1, 0]) == [b""]
+    # position n - 2 is always L-type (its symbol is above the sentinel's), so
+    # the last regular LMS position is at most n - 3; at n - 3 its key ends
+    # where the last record holds the sentinel's 0
+    assert byte_keys([2, 1, 3, 0]) == [bytes([1, 2, 3, 1, 1, 3, 1]), b""]
+    assert_keys_order_like_substrings([2, 1, 3, 0])
+    assert_keys_order_like_substrings([1, 2, 1, 2, 1, 2, 0])
+    rng = random.Random(5)
+    for k, pool in ((3, (1, 2)), (5, (1, 2, 3, 4)), (256, (1, 2, 254, 255))):
+        for _ in range(100):
+            assert_keys_order_like_substrings(run_heavy_level(rng, pool, rng.randint(2, 40)))
+
+
 def sais_levels(monkeypatch, s, k):
     """``_sais(s, k)`` checked against a full sort of the suffixes of ``s``;
-    returns how many levels it ran, the top one included."""
+    returns the string each of its levels sorted, ``s`` first."""
     calls = []
 
-    def counted(s, k):
-        calls.append(len(s))
+    def recorded(s, k):
+        calls.append(s)
         return _sais(s, k)
 
-    monkeypatch.setattr(suffixes, "_sais", counted)
+    monkeypatch.setattr(suffixes, "_sais", recorded)
     assert suffixes._sais(s, k) == sorted(range(len(s)), key=lambda i: s[i:])
-    return len(calls)
+    return calls
 
 
 def test_sais_names_distinct_lms_substrings(monkeypatch):
@@ -165,7 +240,7 @@ def test_sais_names_distinct_lms_substrings(monkeypatch):
         s = rng.sample(range(1, n), n - 1) + [0]
         subs = lms_substrings(s)
         assert len(set(subs)) == len(subs)
-        assert sais_levels(monkeypatch, s, n) == 1
+        assert len(sais_levels(monkeypatch, s, n)) == 1
 
 
 def test_sais_recurses_on_repeated_names(monkeypatch):
@@ -174,7 +249,7 @@ def test_sais_recurses_on_repeated_names(monkeypatch):
         s = [1 + (c == "b") for c in fibonacci(k)] + [0]
         subs = lms_substrings(s)
         assert len(set(subs)) < len(subs)
-        assert sais_levels(monkeypatch, s, 3) >= 3
+        assert len(sais_levels(monkeypatch, s, 3)) >= 3
 
 
 def test_sais_over_an_alphabet_wider_than_two_bytes(monkeypatch):
@@ -185,7 +260,28 @@ def test_sais_over_an_alphabet_wider_than_two_bytes(monkeypatch):
     k = 70_000
     pool = (1, 2, 255, 256, 257, 511, 512, 65_535, 65_536, 65_537, 69_998, 69_999)
     s = rng.choices(pool, k=3_000) + [0]
-    assert sais_levels(monkeypatch, s, k) >= 2
+    assert len(sais_levels(monkeypatch, s, k)) >= 2
+
+
+def test_byte_level_names_distinct_lms_substrings(monkeypatch):
+    # distinct symbols make every LMS substring distinct: one level, no names
+    rng = random.Random(255)
+    s = bytes(rng.sample(range(1, 256), 255)) + b"\0"
+    subs = lms_substrings(s)
+    assert len(set(subs)) == len(subs) > 80
+    assert sais_levels(monkeypatch, s, 256) == [s]
+
+
+def test_byte_level_names_repeated_lms_substrings(monkeypatch):
+    # the reduced string holds each LMS substring's rank among the distinct ones
+    rng = random.Random(4)
+    block = bytes(rng.choices(b"\1\2\3\4", k=300))
+    for s in (block * 3 + b"\0", bytes(1 + (c == "b") for c in fibonacci(14)) + b"\0"):
+        subs = lms_substrings(s)
+        distinct = sorted(set(subs))
+        assert len(distinct) < len(subs)
+        reduced = sais_levels(monkeypatch, s, 5)[1]
+        assert list(reduced) == [distinct.index(sub) for sub in subs]
 
 
 def sais_level_types(monkeypatch, w, ordering=None):
