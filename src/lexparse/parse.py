@@ -244,39 +244,45 @@ def lex_parse_naive(text: str, ordering: AlphabetOrdering | None = None) -> LexP
 def decode(parse: LexParse) -> str:
     """Reconstruct the unique text a lex-parse represents.
 
-    Every copied position follows its source chain until it reaches an
-    explicit symbol; chains are memoized.  A well-formed parse can still
-    hold a reference cycle, and then :class:`MalformedParseError` is raised.
-    The working set is a list of symbols, 8 bytes a position (each symbol
-    is a shared one-character string), and the positions' copy sources in
-    an ``array('i')``, 4 bytes a position, freed before the symbols are
-    joined: about 16 bytes a symbol at the peak.
+    A copied position whose reference already holds its symbol takes it in
+    place; any other follows its source chain until it reaches a symbol, and
+    every position on the chain takes that symbol.  A well-formed parse can
+    still hold a reference cycle, and then :class:`MalformedParseError` is
+    raised.  The working set is a list of symbols, 8 bytes a position (each
+    symbol is a shared one-character string), and the positions' copy
+    sources in an ``array('i')``, 4 bytes a position, freed before the
+    symbols are joined: about 13 bytes a symbol at the peak.
     """
     n = parse.n
     out: list[str | None] = [None] * (n + 1)
-    ref = array("i", bytes(4 * (n + 1)))
+    ref = array("i", [0])  # ref[p] is position p's source; 0 for an explicit symbol
     pos = 1
     for length, source in zip(*parse.columns):
         if type(source) is str:
             out[pos] = source
+            ref.append(0)
         else:
-            ref[pos : pos + length] = array("i", range(source, source + length))
+            ref.extend(range(source, source + length))
         pos += length
     for p in range(1, n + 1):
-        if out[p] is not None:
-            continue
-        # Mark the chain's positions with "" as it is followed; meeting a mark closes a cycle.
-        chain = []
-        q = p
-        while out[q] is None:
-            out[q] = ""
-            chain.append(q)
-            q = ref[q]
-        c = out[q]
-        if not c:
-            raise MalformedParseError(f"reference cycle through position {q}")
-        for x in chain:
-            out[x] = c
+        if out[p] is None:
+            q = ref[p]
+            c = out[q]
+            if c is None:
+                # Mark the chain's positions with "" as it is followed; meeting a mark closes a cycle.
+                out[p] = ""
+                chain = [p]
+                while c is None:
+                    out[q] = ""
+                    chain.append(q)
+                    q = ref[q]
+                    c = out[q]
+                if not c:
+                    raise MalformedParseError(f"reference cycle through position {q}")
+                for x in chain:
+                    out[x] = c
+            else:
+                out[p] = c
     del ref
     out[0] = ""  # no text position: joining ``out`` whole spares a copy of ``out[1:]``
     return "".join(out)  # type: ignore[arg-type]

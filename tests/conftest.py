@@ -45,6 +45,31 @@ def record_builds(monkeypatch, *modules):
     return builds
 
 
+def decode_oracle(parse):
+    """The text of ``parse`` by passes: in each pass every open copied
+    position whose reference's symbol is known takes it.  A pass that
+    resolves nothing while positions are open leaves a reference cycle, and
+    raises :class:`MalformedParseError`.  The independent oracle of
+    :func:`lexparse.parse.decode`, which follows each chain once."""
+    symbols = [None] * parse.n
+    open_refs = {}  # 0-based position -> 0-based position it copies
+    start = 0
+    for length, source in zip(*parse.columns):
+        if type(source) is str:
+            symbols[start] = source
+        else:
+            for k in range(length):
+                open_refs[start + k] = source - 1 + k
+        start += length
+    while open_refs:
+        ready = [p for p, q in open_refs.items() if symbols[q] is not None]
+        if not ready:
+            raise MalformedParseError(f"reference cycle among positions {sorted(open_refs)}")
+        for p in ready:
+            symbols[p] = symbols[open_refs.pop(p)]
+    return "".join(symbols)
+
+
 def edit_scan_oracle(text, kind, ordering):
     """Each candidate's phrase count from a suffix array of its own: the
     independent oracle of the edit scans, which build only the base text's."""

@@ -93,9 +93,11 @@ def test_suffix_array_peak_at_the_widest_byte_level():
 
 
 def test_decode_peak():
+    # 12.4 here, with the reference table grown by one extend a phrase; 16.3
+    # when it was zero-filled from a bytes buffer and copied
     text = acgt(20_000)
     parse = lex_parse(text)
-    assert peak_bytes_per_symbol(len(text), decode, parse) <= 20  # 16.3
+    assert peak_bytes_per_symbol(len(text), decode, parse) <= 15
 
 
 def test_from_lines_peak():

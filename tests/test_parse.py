@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import all_binary_strings, from_lines_oracle, random_text
+from conftest import all_binary_strings, decode_oracle, from_lines_oracle, random_text
 from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.fibwords import edited_fib, fibonacci
 from lexparse.parse import (
@@ -233,6 +233,62 @@ def test_decode_rejects_cycles():
     p = LexParse(((2, 2), (2, 1)), 4, ORD_AB)
     with pytest.raises(MalformedParseError):
         decode(p)
+
+
+@pytest.mark.parametrize(
+    "columns, n, position",
+    [
+        (((1, 1), ("a", 2)), 2, 2),  # position 2 references itself
+        (((1, 1), (2, 1)), 2, 1),  # positions 1 and 2 reference each other
+        (((1, 2, 1), ("b", 3, 3)), 4, 3),  # 2 -> 3 -> 4 -> 3: the cycle is met at 3
+    ],
+    ids=["self", "two-positions", "chain-into-cycle"],
+)
+def test_decode_names_the_position_that_closes_a_cycle(columns, n, position):
+    with pytest.raises(MalformedParseError) as exc:
+        decode(LexParse(columns, n, ORD_AB))
+    assert str(exc.value) == f"reference cycle through position {position}"
+
+
+def random_well_formed_columns(rng, n, alphabet, left_sources):
+    """Random phrase columns covering ``n`` symbols.  A copy's length and
+    source are drawn anywhere in range, so references run right, overlap
+    their own phrase and close cycles; with ``left_sources`` each copy's
+    source lies strictly left of its phrase, which leaves no cycle."""
+    lengths, sources = [], []
+    pos = 1
+    while pos <= n:
+        if (pos == 1 and left_sources) or rng.random() < 0.25:
+            lengths.append(1)
+            sources.append(rng.choice(alphabet))
+        else:
+            length = rng.randint(1, n - pos + 1)
+            lengths.append(length)
+            sources.append(rng.randint(1, pos - 1) if left_sources else rng.randint(1, n - length + 1))
+        pos += lengths[-1]
+    return tuple(lengths), tuple(sources)
+
+
+def test_decode_matches_the_pass_oracle_on_parses_that_are_not_lex_parses():
+    rng = random.Random(2021)
+    cycles = texts_from_any_sources = 0
+    for i in range(400):
+        alphabet = rng.choice(["ab", "abc", "acgt"])
+        n = rng.randint(1, 24)
+        left_sources = i % 2 == 0
+        columns = random_well_formed_columns(rng, n, alphabet, left_sources)
+        p = LexParse(columns, n, AlphabetOrdering.from_string(alphabet))
+        try:
+            want = decode_oracle(p)
+        except MalformedParseError:
+            with pytest.raises(MalformedParseError):
+                decode(p)
+            cycles += 1
+        else:
+            assert decode(p) == want, columns
+            texts_from_any_sources += not left_sources
+    # most parses with sources anywhere close a cycle, but not all of them
+    assert cycles >= 100 and texts_from_any_sources >= 40, (cycles, texts_from_any_sources)
 
 
 def test_line_serialization_round_trip():

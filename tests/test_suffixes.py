@@ -341,6 +341,40 @@ def test_suffix_array_of_random_bytes_is_sorted():
         assert a < b or (a == b and text[p:] < text[q:]), (p, q)
 
 
+@pytest.mark.slow
+def test_suffix_array_of_a_million_random_bytes_is_sorted():
+    # suffix pair by pair; SA-IS recurses there on about 333,000 names
+    t = "".join(map(chr, random.Random(1).choices(range(256), k=10**6)))
+    sa = [p - 1 for p in build_suffix_array(t).sa]
+    assert sorted(sa) == list(range(len(t)))
+    for p, q in zip(sa, sa[1:]):
+        a, b = t[p : p + 32], t[q : q + 32]
+        assert a < b or (a == b and t[p:] < t[q:]), (p, q)
+
+
+@pytest.mark.slow
+def test_suffix_arrays_of_a_million_symbols_held_as_bytes_are_sorted():
+    # Suffix pair by pair: 10^6 acgt symbols with runs of up to 40,000, past
+    # the type scan's chunks, and 10^6 symbols over 254 values, whose top
+    # level is 256 symbols wide.  On a tie of first symbols the pair is
+    # ordered by the ranks of the suffixes one on, which compares long runs
+    # in O(1) where slices would copy them.
+    rng = random.Random(1)
+    runs, n = [], 0
+    while n < 10**6:
+        runs.append(rng.choice("acgt") * (rng.randint(1, 8) if rng.random() > 0.001 else rng.randint(20_000, 40_000)))
+        n += len(runs[-1])
+    symbols = [chr(c) for c in range(254)]
+    for t in ("".join(runs)[: 10**6], "".join(symbols) + "".join(rng.choices(symbols, k=10**6 - 254))):
+        sa = [p - 1 for p in build_suffix_array(t).sa]
+        assert sorted(sa) == list(range(len(t)))
+        rank = [0] * (len(t) + 1)  # the empty suffix past the end ranks lowest
+        for r, p in enumerate(sa, 1):
+            rank[p] = r
+        for p, q in zip(sa, sa[1:]):
+            assert t[p] < t[q] or (t[p] == t[q] and rank[p + 1] < rank[q + 1]), (p, q)
+
+
 def test_ordering_absorbed_by_renaming():
     rng = random.Random(7)
     for _ in range(60):
