@@ -129,9 +129,10 @@ def _resolve_text(args: argparse.Namespace) -> str:
     return text
 
 
-def _resolve_ordering(args: argparse.Namespace, text: str) -> AlphabetOrdering:
-    order = AlphabetOrdering.from_string(args.order) if args.order is not None else None
-    return AlphabetOrdering.for_text(text, order)
+def _given_ordering(args: argparse.Namespace) -> AlphabetOrdering | None:
+    """The ordering ``--order`` spells, or None without it; its cover of the
+    text is checked by :meth:`AlphabetOrdering.for_text`."""
+    return AlphabetOrdering.from_string(args.order) if args.order is not None else None
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -181,8 +182,7 @@ def _render(args: argparse.Namespace, report) -> int:
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     text = _resolve_text(args)
-    ordering = _resolve_ordering(args, text)
-    parse = lex_parse(text, ordering)
+    parse = lex_parse(text, _given_ordering(args))  # the suffix array's build checks the cover
     if args.format in ("lexparse", "json"):
         _emit(to_lines(parse) if args.format == "lexparse" else to_json(parse), args.out)
         return EXIT_OK
@@ -194,7 +194,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     if args.format == "csv":
         return _render(args, (["index", "start", "length", "kind", "source"], rows))
     lines = [
-        f"lex-parse  n={parse.n}  ordering={ordering.spec}  v={parse.v}",
+        f"lex-parse  n={parse.n}  ordering={parse.ordering.spec}  v={parse.v}",
         f"{'idx':>4} {'start':>8} {'len':>8} {'kind':>4} {'source':>8}  content",
     ]
     for (idx, start, length, kind, source), s in zip(rows, phrase_strings(parse, text)):
@@ -220,7 +220,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     text = _resolve_text(args)
     if not args.kind:
         raise CliError("scan edit requires --kind <sub|ins|del>")
-    ordering = _resolve_ordering(args, text)
+    ordering = AlphabetOrdering.for_text(text, _given_ordering(args))
     report = edit_sensitivity_scan(text, args.kind, ordering, keep_rows=args.rows)
     return _render(args, _edit_report(report, args.format))
 

@@ -49,18 +49,33 @@ def is_primitive(w: str) -> bool:
 # before they hand an equal stretch to _lce.  Most stretches in random text
 # end within it, where a gallop's slices cost more than they save: galloping
 # from the first symbol made the walk over random texts up to 3x slower, and
-# Duval over random words 4x slower.
+# Duval over random words 4x slower.  The edit counter calls _lce directly,
+# and most of its queries end within _lce's own first 8 symbols.
 _SCAN = 32
 
 
 def _lce(s: str | bytes, i: int, t: str | bytes, j: int) -> int:
     """Length of the longest common prefix of ``s[i:]`` and ``t[j:]`` (two
-    ``str`` or two ``bytes``), by galloping and then binary search over slice
-    comparisons."""
-    end = min(len(s) - i, len(t) - j)
-    lo, step = 0, 8
+    ``str`` or two ``bytes``).
+
+    The first 8 symbols are compared one at a time, and a mismatch among them
+    is the answer; most of the edit counter's queries end there, where two
+    slices and a binary search over more cost several times as much.  Past
+    them it gallops over slice comparisons in windows of 16, 32, 64, ...
+    symbols and binary-searches the window that mismatches.
+    """
+    end = len(s) - i
+    if len(t) - j < end:
+        end = len(t) - j
+    head = end if end < 8 else 8
+    lo = 0
+    while lo < head:
+        if s[i + lo] != t[j + lo]:
+            return lo
+        lo += 1
+    step = 16
     while lo < end:
-        hi = min(lo + step, end)
+        hi = lo + step if lo + step < end else end
         if s[i + lo : i + hi] != t[j + lo : j + hi]:
             while hi - lo > 1:
                 mid = (lo + hi) // 2

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from lexparse.alphabet import AlphabetOrdering
 from lexparse.cli import main
 from lexparse.fibwords import edited_fib, fibonacci
 from lexparse.parse import decode, from_dict, from_lines, max_payload
@@ -71,6 +72,25 @@ def test_parse_rejects_bad_ordering_spec(capsys):
     code, _, err = run_cli(capsys, "parse", "--text", "ab", "--order", "aab")
     assert code == 2
     assert "duplicate" in err
+
+
+def test_parse_reads_the_symbol_set_once(capsys, monkeypatch):
+    calls = []
+    for_text = AlphabetOrdering.for_text.__func__
+
+    def counting(cls, text, ordering=None):
+        calls.append(ordering)
+        return for_text(cls, text, ordering)
+
+    monkeypatch.setattr(AlphabetOrdering, "for_text", classmethod(counting))
+    for order in (["--order", "ba"], []):
+        code, out, _ = run_cli(capsys, "parse", "--text", "ababbaaba", *order)
+        assert code == 0 and len(calls) == 1
+        assert out.startswith(f"lex-parse  n=9  ordering={'ba' if order else 'ab'}  v=")
+        calls.clear()
+    # a malformed spec is refused before the text's cover is checked
+    code, _, err = run_cli(capsys, "parse", "--text", "abc", "--order", "aab")
+    assert (code, err, calls) == (2, "error: duplicate symbol in ordering 'aab'\n", [])
 
 
 @pytest.mark.parametrize("command", [["parse"], ["scan", "edit", "--kind", "ins"]])

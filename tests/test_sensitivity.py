@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -143,6 +144,39 @@ def test_scan_rows_match_per_candidate_rebuilds_on_every_short_binary_word(kind,
             assert [r.v for r in report.rows] == edit_scan_oracle(text, kind, ordering), text
 
 
+def _straddling_texts():
+    """Texts whose edit counts ask many LCE queries that end at 7, 8 or 9
+    symbols, on either side of the 8 that ``_lce`` compares one at a time:
+    runs ``a^7 b``, ``a^8 b``, ``a^9 b`` and their concatenations, and
+    prefixes of powers of random words of length 7 to 9 over {a, b}."""
+    runs = ["a" * r + "b" for r in (7, 8, 9)]
+    for count in (1, 2, 3):
+        for blocks in itertools.product(runs, repeat=count):
+            yield "".join(blocks)
+    rng = random.Random(2703)
+    for _ in range(12):
+        word = random_text(rng, "ab", 9, 7)
+        yield (word * 9)[: rng.randint(30, 60)]
+
+
+def test_scan_rows_match_per_candidate_rebuilds_where_lces_straddle_the_head(monkeypatch):
+    answers = []
+    lce = lexparse.sensitivity._lce
+
+    def recording(s, i, t, j):
+        answers.append(lce(s, i, t, j))
+        return answers[-1]
+
+    monkeypatch.setattr(lexparse.sensitivity, "_lce", recording)
+    for text in _straddling_texts():
+        for kind, spec in (("sub", "ab"), ("ins", "$ab"), ("del", "ab")):
+            ordering = AlphabetOrdering.from_string(spec)
+            report = edit_sensitivity_scan(text, kind, ordering, keep_rows=True)
+            assert [r.v for r in report.rows] == edit_scan_oracle(text, kind, ordering), (
+                text, kind)
+    assert all(answers.count(l) >= 500 for l in (7, 8, 9))
+
+
 def _random_texts(seed, count, max_len):
     """(text, alphabet) pairs over 2 to 4 symbols: uniform, in runs of equal
     symbols, or a prefix of a power of a short word, so that the ends repeat."""
@@ -241,6 +275,38 @@ def test_exhaustive_scans_reach_the_witness_counts(k):
         assert report.max_v == max_v, kind
         if k >= 7:
             assert report.witness.position == witness_at, kind
+
+
+# Exhaustive fib:20 and fib:22 edit scans (n = 6,765 and 17,711): (k, kind,
+# ordering, candidates, max_v, witness position, SHA-256 of the ``--rows
+# --format json`` report).  Each counts the base word's 4 phrases and every
+# candidate (n, or 3 (n + 1) for ins $ab) and reaches the closed-form witness
+# count; the digest pins every row's count.
+_EXHAUSTIVE_SCANS = [
+    (20, "sub", "ab", 6765, 18, 6757, "8470a797f0c467b4ada3eac4d6aa56e4c812712047cf4b5b5c4a789f60061f09"),
+    (20, "del", "ab", 6765, 18, 6757, "35689f5457bda93fdf6e26ee7b6d73748356d3c3d015f9826ae78bb710b011e3"),
+    (20, "ins", "$ab", 20298, 20, 6758, "ad68f1d47e38b554e47f851ce5e554dd5b3eea965147caf1ede2f7279bc4bb8d"),
+    (22, "sub", "ab", 17711, 20, 17703, "356639905d44f0655e5989201a354d5c612d4cbc8e9e2808e3a141375826e2df"),
+    (22, "del", "ab", 17711, 20, 17703, "65749762f181ff0a9d5f0b601ecdeb51c0f3f9944268aca64910dfe0f29b5030"),
+    (22, "ins", "$ab", 53136, 22, 17704, "3b708383e35f86d52458bec89cc612103e5b5e97e8258c25e7c715c278fbf7ab"),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "k, kind, spec, candidates, max_v, at, digest",
+    _EXHAUSTIVE_SCANS,
+    ids=[f"fib:{k}-{kind}-{spec}" for k, kind, spec, *_ in _EXHAUSTIVE_SCANS],
+)
+def test_exhaustive_scan_reports_are_pinned(capsys, k, kind, spec, candidates, max_v, at, digest):
+    code = main(["scan", "edit", "--gen", f"fib:{k}", "--kind", kind, "--order", spec,
+                 "--rows", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    report = json.loads(out)
+    got = [report["v_base"], report["candidates"], report["max_v"], report["witness"]["position"]]
+    assert got == [4, candidates, max_v, at]
 
 
 def test_insertion_alphabet_is_the_orderings():

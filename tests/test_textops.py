@@ -7,6 +7,7 @@ from lexparse.alphabet import AlphabetOrdering
 from lexparse.fibwords import fib_length, fibonacci
 from lexparse.textops import (
     EditCandidate,
+    _lce,
     edit_candidates,
     is_primitive,
     longest_border,
@@ -99,6 +100,55 @@ def test_longest_border_examples():
 def test_longest_border_matches_naive():
     for w in all_binary_strings(1, 10):
         assert longest_border(w) == naive_border(w)
+
+
+def naive_lce(s, i, t, j):
+    l = 0
+    while i + l < len(s) and j + l < len(t) and s[i + l] == t[j + l]:
+        l += 1
+    return l
+
+
+def assert_lce(s, i, t, j, want=None):
+    """``_lce`` agrees with the symbol-by-symbol scan on the texts as given
+    and as latin-1 ``bytes``, both ways round."""
+    b, c = s.encode("latin-1"), t.encode("latin-1")
+    if want is None:
+        want = naive_lce(s, i, t, j)
+    for got in (_lce(s, i, t, j), _lce(t, j, s, i), _lce(b, i, c, j), _lce(c, j, b, i)):
+        assert got == want, (s, i, t, j)
+
+
+def test_lce_of_planted_common_prefixes():
+    # common prefixes of every length from 0 to 70 cross the 8 symbols that
+    # are compared one at a time and the gallop's windows of 16, 32 and 64;
+    # each is followed by a mismatch, or by the end of one text or of both
+    rng = random.Random(2701)
+    for length in range(71):
+        common = random_text(rng, "ab", length, length)
+        before_s, before_t = random_text(rng, "abc", 9, 0), random_text(rng, "abc", 9, 0)
+        after = random_text(rng, "abc", 20, 0)
+        i, j = len(before_s), len(before_t)
+        s = before_s + common + "a" + after
+        assert_lce(s, i, before_t + common + "b" + after, j, length)
+        assert_lce(s, i, before_t + common, j, length)
+        assert_lce(before_s + common, i, before_t + common, j, length)
+        assert_lce(s, i, s, i, len(s) - i)
+
+
+def test_lce_near_both_ends_and_of_empty_suffixes():
+    # starts near the front and the back of one text, so that one suffix is a
+    # prefix of the other, up to the empty suffix at i == len(s)
+    rng = random.Random(2702)
+    texts = ["a" * 75, "ab" * 40, "aaaaaaab" * 10, "abaababa" * 9 + "ab", fibonacci(11)]
+    texts += [random_text(rng, "ab", 80, 60) for _ in range(3)]
+    for s in texts:
+        n = len(s)
+        starts = [*range(12), *range(n - 12, n + 1)]
+        for i in starts:
+            for j in starts:
+                assert_lce(s, i, s, j)
+        assert_lce(s, n, s[:5], 5, 0)
 
 
 def edit_texts(w, kind, alphabet):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import lexparse.parse
@@ -32,6 +34,16 @@ def test_full_range_6_to_12():
     results = run_verification(range(6, 13))
     failures = [r.line() for r in results if r.asserted and not r.ok]
     assert failures == [], failures
+
+
+@pytest.mark.slow
+def test_closed_forms_hold_past_the_benchmark_range(capsys):
+    # k = 14 and 15 build words of n = 317,811 and 832,040 symbols
+    code = main(["verify", "--k", "14..15"])
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert code == 0
+    passed = re.fullmatch(r"OK: (\d+)/(\d+) checks passed, \d+ informational", summary)
+    assert passed and passed[1] == passed[2], summary
 
 
 def test_each_group_runs_alone():
