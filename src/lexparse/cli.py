@@ -323,7 +323,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{'OK' if passed else 'FAILED'}: {sum(r.ok for r in asserted)}/{len(asserted)} "
         f"checks passed, {len(results) - len(asserted)} informational"
     )
-    _emit("\n".join(lines) + "\n", args.out)
+    _render(args, lines)
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--k", required=True, help="index range, e.g. 6..12")
     pv.add_argument("--only", choices=GROUP_NAMES, help="restrict to one check group")
     pv.add_argument("--out", help="write output to this path instead of stdout")
-    pv.set_defaults(func=_cmd_verify)
+    pv.set_defaults(func=_cmd_verify, format="human")
 
     pgen = sub.add_parser("gen", help="emit a generated word")
     _add_input_args(pgen)

@@ -66,7 +66,8 @@ def lyndon_factorize(w: str, ordering: AlphabetOrdering | None = None) -> Lyndon
     Duval's algorithm, with each stretch where the word agrees with itself
     one period back crossed in one step: compared symbol by symbol up to
     ``_SCAN`` symbols, and past that by one longest-common-extension query
-    over slice comparisons (:func:`lexparse.textops._lce`), so a stretch
+    (:func:`lexparse.textops._lce`), which compares its first 8 symbols one
+    at a time and then gallops over slice comparisons, so a stretch
     thousands of symbols long costs O(log length) slices.  Symbols are
     renamed to their ranks, one byte each (an ordering has at most
     ``MAX_ALPHABET`` = 256 symbols), so that comparing the bytes is the

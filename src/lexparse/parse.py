@@ -166,8 +166,9 @@ def lex_parse(
     rebuilding it.  Each phrase is measured against its start's predecessor
     suffix: symbol by symbol up to ``_SCAN`` symbols, where most phrases of
     a random text end, and past that by one longest-common-extension query
-    over slice comparisons (:func:`lexparse.textops._lce`), which crosses
-    the long phrases of repetitive texts in O(log length) slices.  The walk
+    (:func:`lexparse.textops._lce`), which compares its first 8 symbols one
+    at a time and then gallops over slice comparisons, so it crosses the
+    long phrases of repetitive texts in O(log length) slices.  The walk
     never needs the suffix array's LCP array.  It writes the phrase columns
     directly and builds no phrase object.
     """

@@ -76,15 +76,18 @@ class _Checker:
 
     def eq(self, name: str, got, expected) -> bool:
         ok = got == expected
-        detail = "" if ok else _mismatch(got, expected)
-        self.results.append(CheckResult(self.group, name, self.k, ok, detail=detail))
-        return ok
+        return self.ok(name, ok, "" if ok else _mismatch(got, expected))
 
     def ok(self, name: str, condition: bool, detail: str = "") -> bool:
         self.results.append(
             CheckResult(self.group, name, self.k, condition, detail="" if condition else detail)
         )
         return condition
+
+    def first_fault(self, name: str, faults: Iterable[str]) -> bool:
+        """Record check ``name`` as failed at the first detail ``faults`` yields, else passed."""
+        detail = next(iter(faults), "")
+        return self.ok(name, not detail, detail)
 
 
 def _preview(x, width: int = 24) -> str:
@@ -229,39 +232,35 @@ def verify_edited_word(words: _Words) -> list[CheckResult]:
     c.ok("ends_baaa", T.endswith("baaa"), "edited word does not end with baaa")
 
     dec = EditedFibDecomposition(k)
-    obs_ok, obs_detail = True, ""
-    for i in range(1, k - 2):
-        x = T[dec.x_start(i) - 1 :]
-        ys, ye = dec.y_span(i)
-        y = T[ys - 1 : ye]
-        z = T[dec.z_start(i) - 1 :]
-        if not (x == dec.x_expected(i) and y == dec.y_expected(i)
-                and z == dec.z_expected(i) and x == y + z):
-            obs_ok, obs_detail = False, f"identity broken at i={i}"
-            break
-    c.ok("decomposition_identities", obs_ok, obs_detail)
 
-    chain_ok, chain_detail = True, ""
-    for i in range(1, k - 1):
-        got = sa.previous_suffix(dec.z_start(i))
-        if got != dec.z_start(i - 1):
-            chain_ok = False
-            chain_detail = f"prev of suffix {dec.z_start(i)} is {got}, expected {dec.z_start(i - 1)}"
-            break
-    c.ok("suffix_chain_refs", chain_ok, chain_detail)
+    def identity_faults():
+        for i in range(1, k - 2):
+            x = T[dec.x_start(i) - 1 :]
+            ys, ye = dec.y_span(i)
+            y = T[ys - 1 : ye]
+            z = T[dec.z_start(i) - 1 :]
+            if not (x == dec.x_expected(i) and y == dec.y_expected(i)
+                    and z == dec.z_expected(i) and x == y + z):
+                yield f"identity broken at i={i}"
 
-    left_ok, left_detail = True, ""
-    maxsuf = T[fib_length(2 * k - 3) - 1 :]
-    for i in range(1, k - 2):
-        start = dec.left_ref_start(i)
-        ys, ye = dec.y_span(i)
-        expected_suffix = T[ys - 1 : ye] + "a" + maxsuf
-        got = sa.previous_suffix(dec.x_start(i))
-        if T[start - 1 :] != expected_suffix or got != start:
-            left_ok = False
-            left_detail = f"left reference broken at i={i}: prev={got}, expected {start}"
-            break
-    c.ok("left_refs", left_ok, left_detail)
+    def chain_faults():
+        for i in range(1, k - 1):
+            got = sa.previous_suffix(dec.z_start(i))
+            if got != dec.z_start(i - 1):
+                yield f"prev of suffix {dec.z_start(i)} is {got}, expected {dec.z_start(i - 1)}"
+
+    def left_ref_faults():
+        maxsuf = T[fib_length(2 * k - 3) - 1 :]
+        for i in range(1, k - 2):
+            start = dec.left_ref_start(i)
+            ys, ye = dec.y_span(i)
+            got = sa.previous_suffix(dec.x_start(i))
+            if T[start - 1 :] != T[ys - 1 : ye] + "a" + maxsuf or got != start:
+                yield f"left reference broken at i={i}: prev={got}, expected {start}"
+
+    c.first_fault("decomposition_identities", identity_faults())
+    c.first_fault("suffix_chain_refs", chain_faults())
+    c.first_fault("left_refs", left_ref_faults())
     c.eq("max_suffix_rank", sa.suffix_start(n), dec.max_suffix_start())
 
     D = edited_fib_deleted(2 * k)
@@ -290,22 +289,21 @@ def verify_fib_orderings(words: _Words) -> list[CheckResult]:
         parse = lex_parse(F, sa=sa)
         c.eq(f"count_{spec}", parse.v, fib_parse_count(k, spec))
         c.eq(f"phrases_{spec}", phrase_strings(parse, F), fib_parse_phrases(k, spec))
-    if k % 2 == 1 and k >= 7:
-        pair_ok, pair_detail = True, ""
+
+    def pair_faults():
         for i in range(4, k - 2, 2):
             short_suffix = fib_suffix(k, i)
             long_suffix = gib_suffix(k, i)
-            ss = fib_suffix_start(k, i)
-            ps = gib_suffix_start(k, i)
             if not (
                 F.endswith(long_suffix)
                 and long_suffix.startswith(short_suffix)
                 and long_suffix == short_suffix + gib(i)
-                and sa_ab.previous_suffix(ps) == ss
+                and sa_ab.previous_suffix(gib_suffix_start(k, i)) == fib_suffix_start(k, i)
             ):
-                pair_ok, pair_detail = False, f"suffix pair broken at i={i}"
-                break
-        c.ok("suffix_pairs", pair_ok, pair_detail)
+                yield f"suffix pair broken at i={i}"
+
+    if k % 2 == 1 and k >= 7:
+        c.first_fault("suffix_pairs", pair_faults())
     return c.results
 
 

@@ -37,9 +37,21 @@ def test_full_range_6_to_12():
 
 
 @pytest.mark.slow
-def test_closed_forms_hold_past_the_benchmark_range(capsys):
-    # k = 14 and 15 build words of n = 317,811 and 832,040 symbols
-    code = main(["verify", "--k", "14..15"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # inside the benchmark's range: every group, and alone the two groups
+        # that share the edited word's suffix array
+        ["--k", "6..10"],
+        ["--k", "6..8", "--only", "suffixes"],
+        ["--k", "6..8", "--only", "edited"],
+        # k = 14 and 15 build words of n = 317,811 and 832,040 symbols
+        ["--k", "14..15"],
+    ],
+    ids=["6..10", "6..8-suffixes", "6..8-edited", "14..15"],
+)
+def test_closed_forms_hold_past_the_benchmark_range(capsys, argv):
+    code = main(["verify", *argv])
     summary = capsys.readouterr().out.splitlines()[-1]
     assert code == 0
     passed = re.fullmatch(r"OK: (\d+)/(\d+) checks passed, \d+ informational", summary)
