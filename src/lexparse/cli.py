@@ -220,8 +220,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     text = _resolve_text(args)
     if not args.kind:
         raise CliError("scan edit requires --kind <sub|ins|del>")
-    ordering = AlphabetOrdering.for_text(text, _given_ordering(args))
-    report = edit_sensitivity_scan(text, args.kind, ordering, keep_rows=args.rows)
+    report = edit_sensitivity_scan(text, args.kind, _given_ordering(args), keep_rows=args.rows)
     return _render(args, _edit_report(report, args.format))
 
 

@@ -71,8 +71,8 @@ def edit_sensitivity_scan(
     and a deletion scan one per run of equal symbols, but every candidate
     still gets its row.
     """
-    kind = normalize_kind(kind)
     ordering = AlphabetOrdering.for_text(text, ordering)
+    kind = normalize_kind(kind)
     if kind == "del" and len(text) < 2:
         raise ValueError("deletion scan needs a text of length >= 2")
     if kind == "sub" and len(ordering.symbols) < 2:
@@ -317,16 +317,16 @@ def ao_sensitivity_scan(text: str) -> AOSensitivityReport:
     texts with more than 8 distinct symbols, where factorial enumeration
     stops being a desk-scale computation.
     """
-    symbols = AlphabetOrdering.for_text(text).symbols
-    sigma = len(symbols)
+    ordering = AlphabetOrdering.for_text(text)
+    sigma = len(ordering.symbols)
     if sigma > MAX_AO_SIGMA:
         raise ValueError(
             f"text has {sigma} distinct symbols; exhaustive ordering enumeration is "
             f"limited to {MAX_AO_SIGMA} ({sigma}! orderings would be infeasible). "
             "Reduce the alphabet or scan chosen orderings individually."
         )
-    tree = _OrderingFreeTree(text)
-    per = {ordering.spec: tree.v(ordering) for ordering in all_orderings(symbols)}
+    tree = _OrderingFreeTree(text, ordering)
+    per = {each.spec: tree.v(each) for each in all_orderings(ordering.symbols)}
     # max and min keep the first of equal counts, in enumeration order.
     argmax = max(per, key=per.__getitem__)
     argmin = min(per, key=per.__getitem__)
@@ -347,10 +347,13 @@ class _OrderingFreeTree:
     only the order of each node's children does (Abouelhoda, Kurtz &
     Ohlebusch, "Replacing suffix trees with enhanced suffix arrays", JDA
     2004).  The tree is the LCP-interval tree of one suffix array and its
-    ``lcp``.  Node w has a string depth, a parent, and a bitmask of the first
-    symbols of its children (bit b for the b-th symbol in code-point order),
-    plus bit sigma when a suffix ends at w.  With no end marker, a suffix
-    that ends at w is a proper prefix of every other suffix below w.
+    ``lcp``, built in one pass: the suffix being placed lies below every node
+    open on the stack, so it stands for each of them.  Node w has a string
+    depth, a parent, and a bitmask of the first symbols of its children (bit
+    b for the b-th symbol of the ordering it is built under), plus bit sigma
+    when a suffix ends at w.  With no end marker, a suffix that ends at w is a
+    proper prefix of every other suffix below w, as if the text ended in a
+    symbol sigma that sorts before every other.
 
     Suffix x = text[i:] copies its longest common prefix with its
     predecessor under the ordering.  That predecessor lies below the deepest
@@ -361,22 +364,18 @@ class _OrderingFreeTree:
     set, so a climb that meets no such node stops there with depth 0.
     """
 
-    def __init__(self, text: str):
-        ordering = AlphabetOrdering.for_text(text)
+    def __init__(self, text: str, ordering: AlphabetOrdering):
         self.index = {c: b for b, c in enumerate(ordering.symbols)}
-        self.s = s = ordering.key(text)
-        self.ends = ends = 1 << len(ordering.symbols)
+        self.s = s = ordering.key(text) + (len(ordering.symbols),)  # then symbol sigma
         built = build_suffix_array(text, ordering)
         sa, lcp = built.sa, built.lcp
-        n = len(s)
+        n = len(text)
         depth, parent, mask = [0], [-1], [0]  # node 0 is the root
-        rep = [0]  # rep[w]: the start of some suffix below w
 
-        def new_node(d: int, below: int) -> int:
+        def new_node(d: int) -> int:
             depth.append(d)
             parent.append(-1)
             mask.append(0)
-            rep.append(below)
             return len(depth) - 1
 
         stack = [0]  # the open nodes, deepest last
@@ -385,37 +384,36 @@ class _OrderingFreeTree:
             i = sa[r] - 1
             h = lcp[r + 1] if r + 1 < n else 0  # LCP with the next suffix
             if h > depth[stack[-1]]:  # the top's depth is the LCP with the previous one
-                stack.append(new_node(h, i))
+                stack.append(new_node(h))
             w = leaf[i] = stack[-1]
-            mask[w] |= ends if depth[w] == n - i else 1 << s[i + depth[w]]
+            mask[w] |= 1 << s[i + depth[w]]
             while depth[stack[-1]] > h:  # close the nodes deeper than h
                 x = stack.pop()
                 if depth[stack[-1]] < h:
-                    stack.append(new_node(h, rep[x]))
+                    stack.append(new_node(h))
                 w = parent[x] = stack[-1]
-                mask[w] |= 1 << s[rep[x] + depth[w]]
+                mask[w] |= 1 << s[i + depth[w]]  # suffix i stands for x
         mask[0] = -1
-        # The climb from leaf i starts at leaf[i], or above it when suffix i ends there.
-        self.start = [w if depth[w] < n - i else parent[w] for i, w in enumerate(leaf)]
-        self.depth, self.parent, self.mask = depth, parent, mask
+        self.leaf, self.depth, self.parent, self.mask = leaf, depth, parent, mask
 
     def v(self, ordering: AlphabetOrdering) -> int:
         """Phrase count of the text under ``ordering``, a permutation of its symbols.
 
         Costs sigma mask updates and one climb per phrase; nothing is sorted.
         """
-        s, start, depth, parent, mask = self.s, self.start, self.depth, self.parent, self.mask
-        # below[b]: the symbols that sort before symbol b, and the end bit.
-        below = [0] * len(self.index)
-        seen = self.ends
+        s, leaf, depth, parent, mask = self.s, self.leaf, self.depth, self.parent, self.mask
+        # below[b]: the symbols that sort before symbol b, and the end bit.  None
+        # sort before symbol sigma, so a climb leaves a leaf where its suffix ends.
+        below = [0] * (len(self.index) + 1)
+        seen = 1 << len(self.index)
         for c in ordering.symbols:
             b = self.index[c]
             below[b] = seen
             seen |= 1 << b
-        n = len(s)
+        n = len(s) - 1
         v = i = 0
         while i < n:
-            w = start[i]
+            w = leaf[i]
             while not mask[w] & below[s[i + depth[w]]]:
                 w = parent[w]
             v += 1

@@ -115,6 +115,29 @@ def ao_scan_oracle(text):
     )
 
 
+def brute_factorizations(w, ordering):
+    """Every way to write ``w`` as a non-increasing sequence of Lyndon words
+    under ``ordering``, from the definitions: a word is Lyndon when it is
+    smaller than each of its proper suffixes.  Each is given as runs of equal
+    factors, ``((factor, count), ...)``.  The independent oracle of Duval's
+    :func:`lexparse.lyndon.lyndon_factorize`, whose answer is the only one."""
+    out = []
+
+    def rec(pos, prev, acc):
+        if pos == len(w):
+            out.append(tuple((fac, len(list(run))) for fac, run in itertools.groupby(acc)))
+            return
+        for end in range(pos + 1, len(w) + 1):
+            key = ordering.key(w[pos:end])
+            if (prev is None or key <= prev) and all(key < key[i:] for i in range(1, len(key))):
+                acc.append(w[pos:end])
+                rec(end, key, acc)
+                acc.pop()
+
+    rec(0, None, [])
+    return out
+
+
 # The line breaks of str.splitlines, matched lazily so that a payload is read
 # only as far as its first fault.
 _LINE = re.compile("[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]+")

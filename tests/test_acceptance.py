@@ -8,7 +8,12 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import all_binary_strings, assert_lcp_matches_direct_scans, random_text
+from conftest import (
+    all_binary_strings,
+    assert_lcp_matches_direct_scans,
+    brute_factorizations,
+    random_text,
+)
 from lexparse.alphabet import AlphabetOrdering
 from lexparse.closedforms import (
     edited_parse_lengths,
@@ -127,30 +132,6 @@ def test_c05_substitution_scan_f12():
     print(f"CRITERION 5 PASS: exhaustive substitution scan of the 12th word ({elapsed:.3f} s)")
 
 
-def _naive_is_lyndon(w):
-    return all(w < w[i:] for i in range(1, len(w)))
-
-
-def _brute_factorizations(w):
-    out = []
-
-    def rec(pos, prev, acc):
-        if pos == len(w):
-            out.append(tuple(acc))
-            return
-        for end in range(pos + 1, len(w) + 1):
-            fac = w[pos:end]
-            if prev is not None and fac > prev:
-                continue
-            if _naive_is_lyndon(fac):
-                acc.append(fac)
-                rec(end, fac, acc)
-                acc.pop()
-
-    rec(0, None, [])
-    return out
-
-
 def test_c06_lyndon_suite():
     start = time.perf_counter()
     # closed form for the doubly-shortened even-index words
@@ -170,15 +151,9 @@ def test_c06_lyndon_suite():
     # Duval against from-the-definition brute force, every binary string
     checked = 0
     for w in all_binary_strings(1, 10):
-        facs = _brute_factorizations(w)
+        facs = brute_factorizations(w, ORD_AB)
         assert len(facs) == 1, w
-        grouped = []
-        for fac in facs[0]:
-            if grouped and grouped[-1][0] == fac:
-                grouped[-1] = (fac, grouped[-1][1] + 1)
-            else:
-                grouped.append((fac, 1))
-        assert tuple(grouped) == lyndon_factorize(w, ORD_AB).factors, w
+        assert facs[0] == lyndon_factorize(w, ORD_AB).factors, w
         checked += 1
     assert checked == 2**11 - 2
     elapsed = time.perf_counter() - start

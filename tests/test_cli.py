@@ -74,7 +74,8 @@ def test_parse_rejects_bad_ordering_spec(capsys):
     assert "duplicate" in err
 
 
-def test_parse_reads_the_symbol_set_once(capsys, monkeypatch):
+def count_for_text(monkeypatch):
+    """The list that each later ``AlphabetOrdering.for_text`` call appends its ordering to."""
     calls = []
     for_text = AlphabetOrdering.for_text.__func__
 
@@ -83,6 +84,11 @@ def test_parse_reads_the_symbol_set_once(capsys, monkeypatch):
         return for_text(cls, text, ordering)
 
     monkeypatch.setattr(AlphabetOrdering, "for_text", classmethod(counting))
+    return calls
+
+
+def test_parse_reads_the_symbol_set_once(capsys, monkeypatch):
+    calls = count_for_text(monkeypatch)
     for order in (["--order", "ba"], []):
         code, out, _ = run_cli(capsys, "parse", "--text", "ababbaaba", *order)
         assert code == 0 and len(calls) == 1
@@ -91,6 +97,26 @@ def test_parse_reads_the_symbol_set_once(capsys, monkeypatch):
     # a malformed spec is refused before the text's cover is checked
     code, _, err = run_cli(capsys, "parse", "--text", "abc", "--order", "aab")
     assert (code, err, calls) == (2, "error: duplicate symbol in ordering 'aab'\n", [])
+
+
+def test_scans_read_the_symbol_set_twice(capsys, monkeypatch):
+    # once where the scan resolves its ordering, once in its one suffix array's build
+    calls = count_for_text(monkeypatch)
+    for order in (["--order", "ba"], []):
+        code, out, _ = run_cli(capsys, "scan", "edit", "--text", "ababbaaba", "--kind", "sub", *order)
+        assert code == 0 and len(calls) == 2
+        assert out.startswith(f"edit-sensitivity scan  kind=sub  ordering={'ba' if order else 'ab'}\n")
+        calls.clear()
+    code, out, _ = run_cli(capsys, "scan", "ao", "--text", "ababbaaba")
+    assert code == 0 and len(calls) == 2
+    assert out.endswith("ratio = 6/5 (1.200)\n")
+    calls.clear()
+    # a malformed spec is refused before the cover is checked, and the cover before the kind
+    argv = ["scan", "edit", "--text", "abc", "--kind", "swap", "--order"]
+    code, _, err = run_cli(capsys, *argv, "aab")
+    assert (code, err, calls) == (2, "error: duplicate symbol in ordering 'aab'\n", [])
+    code, _, err = run_cli(capsys, *argv, "ab")
+    assert (code, err) == (2, "error: text contains symbols ['c'] outside the ordering 'ab'\n")
 
 
 @pytest.mark.parametrize("command", [["parse"], ["scan", "edit", "--kind", "ins"]])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import all_binary_strings, random_text
+from conftest import all_binary_strings, brute_factorizations, random_text
 from lexparse.alphabet import AlphabetOrdering
 from lexparse.fibwords import (
     fib_length,
@@ -18,44 +18,6 @@ from lexparse.suffixes import build_suffix_array
 
 ORD_AB = AlphabetOrdering.from_string("ab")
 ORD_BA = AlphabetOrdering.from_string("ba")
-
-
-def naive_is_lyndon(w, ordering):
-    key = ordering.key(w)
-    return all(key < key[i:] for i in range(1, len(w)))
-
-
-def brute_factorizations(w, ordering):
-    """All decompositions into a non-increasing sequence of Lyndon words."""
-    key = ordering.key
-    out = []
-
-    def rec(pos, prev_key, acc):
-        if pos == len(w):
-            out.append(list(acc))
-            return
-        for end in range(pos + 1, len(w) + 1):
-            fac = w[pos:end]
-            fk = key(fac)
-            if prev_key is not None and fk > prev_key:
-                continue
-            if naive_is_lyndon(fac, ordering):
-                acc.append(fac)
-                rec(end, fk, acc)
-                acc.pop()
-
-    rec(0, None, [])
-    return out
-
-
-def group_runs(seq):
-    grouped = []
-    for fac in seq:
-        if grouped and grouped[-1][0] == fac:
-            grouped[-1] = (fac, grouped[-1][1] + 1)
-        else:
-            grouped.append((fac, 1))
-    return tuple(grouped)
 
 
 def test_is_lyndon_examples():
@@ -118,7 +80,7 @@ def test_duval_matches_brute_force():
                 continue
             all_facs = brute_factorizations(w, ordering)
             assert len(all_facs) == 1  # uniqueness from the definition
-            assert group_runs(all_facs[0]) == lyndon_factorize(w, ordering).factors
+            assert all_facs[0] == lyndon_factorize(w, ordering).factors
 
 
 def test_duval_jumps_on_long_runs():

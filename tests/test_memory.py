@@ -1,4 +1,4 @@
-"""Peak traced memory of suffix-array construction, decoding, edit scans and verification, per symbol.
+"""Peak traced memory of suffix-array construction, decoding, scans and verification, per symbol.
 
 ``tracemalloc`` counts every allocation the interpreter makes, so these
 figures repeat exactly from run to run.  The limits sit above what the
@@ -14,7 +14,7 @@ import tracemalloc
 from lexparse.alphabet import AlphabetOrdering
 from lexparse.fibwords import fib_length, fibonacci
 from lexparse.parse import Copy, Explicit, decode, from_lines, lex_parse, to_lines
-from lexparse.sensitivity import _EditedCounter, edit_sensitivity_scan
+from lexparse.sensitivity import _EditedCounter, _OrderingFreeTree, edit_sensitivity_scan
 from lexparse.suffixes import build_suffix_array
 from lexparse.textops import edit_candidates
 from lexparse.verify import run_verification
@@ -144,6 +144,18 @@ def test_edit_candidates_hold_no_copy_of_the_text():
     candidates, _, held = traced_bytes(list, edit_candidates(text, "ins", ordering))
     assert len(candidates) == 3 * (len(text) + 1)
     assert held / len(candidates) <= 300
+
+
+def test_ordering_free_tree_setup_peak():
+    # 57.5 here, where the suffix being placed stands for each open node and
+    # each climb starts at the suffix's leaf; 66.2 with the climb starts in a
+    # list of their own, and 81.2 when, besides, every node kept the start of
+    # a suffix below it.
+    rng = random.Random(8)
+    text = "".join(rng.choices("abcdefgh", k=20_000))
+    ordering = AlphabetOrdering.for_text(text)
+    assert ordering.spec == "abcdefgh"
+    assert peak_bytes_per_symbol(len(text), _OrderingFreeTree, text, ordering) <= 60
 
 
 def test_verify_peak():

@@ -491,3 +491,102 @@ def test_scan_rows_are_pinned_by_digest(capsys, name, source, kind, spec):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _ROWS_DIGESTS[name, kind, spec]
+
+
+def _unary(n):
+    return ("a" * n, "b" * n)
+
+
+def _alternating(n):
+    return (("ab" * n)[:n], ("ba" * n)[:n])
+
+
+_BINARY_EDITS = (("sub", "ab"), ("del", "ab"), ("ins", "$ab"))
+
+# The worst single edit over every word on {a, b} of length n: per scan of
+# _BINARY_EDITS, the largest max_ratio and every word that reaches it, in
+# enumeration order.
+_BINARY_WORST = {
+    2: (("1", ("aa", "ab", "ba", "bb")), ("1/2", ("aa", "ab", "ba", "bb")),
+        ("3/2", ("aa", "ab", "ba", "bb"))),
+    3: (("3/2", _unary(3)), ("1", _unary(3)), ("2", _unary(3))),
+    4: (("2", _unary(4)),
+        ("1", ("aaaa", "aaab", "abab", "abbb", "baaa", "baba", "bbba", "bbbb")),
+        ("2", _unary(4))),
+    5: (("2", _unary(5)), ("4/3", _alternating(5)), ("5/2", _unary(5))),
+    6: (("5/2", _unary(6)), ("4/3", _alternating(6)), ("5/2", _unary(6))),
+    **{n: (("5/2", _unary(n)), ("5/3", _alternating(n)), ("5/2", _unary(n))) for n in range(7, 11)},
+    11: (("5/2", _unary(11)),
+         ("7/4", ("ababbababab", "bbababababb", "bbababbabab", "bbabbababab")),
+         ("5/2", _unary(11))),
+    12: (("5/2", _unary(12)),
+         ("7/4", ("abababbababb", "ababbabababa", "ababbabababb", "abbababababb", "abbabbababab",
+                  "bababbababab")),
+         ("5/2", _unary(12))),
+}
+
+# The worst ratio of the most to the fewest phrases over the orderings of
+# {a, b, c}, over every word on those symbols of length n, and the words that
+# reach it up to a renaming of their symbols: each stands for its six
+# renamings.  Up to n = 5 every word has ratio 1.
+_TERNARY_WORST = {
+    6: ("5/4", ("aaabab", "ababbb", "abbaba", "abbbab")),
+    7: ("5/4", ("aaaabab", "aaabaab", "aaababa", "aababaa", "abaaaba", "ababaaa", "ababaab",
+                "ababbbb", "abbbbab")),
+    8: ("5/4", ("aaaaabab", "aaaababa", "aaababab", "aabaaaba", "aababaab", "abaaaaba",
+                "abaabaaa", "ababaaaa", "abababbb", "ababbaba", "ababbabb", "ababbbbb",
+                "abbababa", "abbababb", "abbabbbb", "abbbbbab")),
+    9: ("3/2", ("abaabaaaa",)),
+}
+
+
+def _worst(words, ratio):
+    """The largest ``ratio(w)`` over ``words`` and every word that reaches it, in order."""
+    ratios = {w: ratio(w) for w in words}
+    top = max(ratios.values())
+    return top, tuple(w for w, r in ratios.items() if r == top)
+
+
+def _words(symbols, n):
+    return ["".join(w) for w in itertools.product(symbols, repeat=n)]
+
+
+def _assert_binary_worst(n):
+    words = _words("ab", n)
+    for (kind, spec), (ratio, worst) in zip(_BINARY_EDITS, _BINARY_WORST[n]):
+        ordering = AlphabetOrdering.from_string(spec)
+        got = _worst(words, lambda w: edit_sensitivity_scan(w, kind, ordering).max_ratio)
+        assert got == (Fraction(ratio), worst), (n, kind)
+
+
+def _assert_ternary_worst(n):
+    ratio, worst = _TERNARY_WORST.get(n, ("1", None))
+    renamings = [str.maketrans("abc", "".join(p)) for p in itertools.permutations("abc")]
+    got_ratio, got = _worst(_words("abc", n), lambda w: ao_sensitivity_scan(w).ratio)
+    assert got_ratio == Fraction(ratio), n
+    if worst is None:
+        assert len(got) == 3**n
+    else:
+        assert len(got) == 6 * len(worst), n
+        assert set(got) == {w.translate(table) for w in worst for table in renamings}, n
+
+
+def test_worst_single_edit_over_every_short_binary_word():
+    for n in range(2, 11):
+        _assert_binary_worst(n)
+
+
+def test_worst_ordering_over_every_short_ternary_word():
+    for n in range(1, 8):
+        _assert_ternary_worst(n)
+    for n in range(1, 7):
+        for text in _words("abc", n):
+            assert ao_sensitivity_scan(text) == ao_scan_oracle(text), text
+
+
+@pytest.mark.slow
+def test_worst_cases_over_longer_short_words():
+    for n in (11, 12):
+        _assert_binary_worst(n)
+    for n in (8, 9):
+        _assert_ternary_worst(n)
