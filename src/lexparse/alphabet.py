@@ -46,8 +46,10 @@ class AlphabetOrdering:
             raise ValueError("text must be non-empty")
         if ordering is None:
             return cls(tuple(sorted(set(text))))
-        extra = sorted(set(text).difference(ordering._rank))
-        if extra:
+        # Deleting the ordering's symbols leaves nothing of a covered text; the
+        # symbol set is built only to name what is left.
+        if text.translate(dict.fromkeys(map(ord, ordering.symbols))):
+            extra = sorted(set(text).difference(ordering._rank))
             raise ValueError(
                 f"text contains symbols {extra!r} outside the ordering {ordering.spec!r}"
             )

@@ -9,7 +9,7 @@ before it.  Even-index words therefore end in "ba" and odd-index words in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterator, Literal
 
 from .parse import _decimal
 
@@ -96,30 +96,51 @@ def phi(w: str) -> str:
     bad = w.translate({97: None, 98: None})
     if bad:
         raise ValueError(f"morphism defined over {{a, b}} only, got {bad[0]!r}")
-    # "\0" holds the b's places while the a's are rewritten; the check leaves none
-    # in w.  Parking the a's instead gives the same image, but perfbench's `verify`
-    # reads a higher peak RSS with it (heap layout, not a larger working set).
+    # The morphism's definition, kept as public API and as the tests' oracle for
+    # the builders below, which write the images of "a" and "b" by concatenation
+    # instead.  "\0" holds the b's places while the a's are rewritten; the check
+    # leaves none in w.
     return w.replace("b", "\0").replace("a", "aab").replace("\0", "ab")
 
 
+def _images(i: int) -> Iterator[tuple[str, str]]:
+    """The j-fold images A_j of "a" and B_j of "b" under the morphism, j = 0..i.
+
+    The morphism is a monoid morphism, so A_j = phi^(j-1)(aab) = A_(j-1) +
+    A_(j-1) + B_(j-1) and B_j = phi^(j-1)(ab) = A_(j-1) + B_(j-1).  Each step
+    writes B_j, then A_j as A_(j-1) + B_j, so every image is written once.
+    """
+    a, b = "a", "b"
+    yield a, b
+    for _ in range(i):
+        b = a + b
+        a += b
+        yield a, b
+
+
 def phi_power_a(i: int) -> str:
-    """The i-fold image of "a" under the morphism; length f(2i+3) - f(2i+1)."""
+    """The i-fold image of "a" under the morphism; length f(2i+3) - f(2i+1).
+
+    Walks (A, B) -> (A + A + B, A + B) from ("a", "b") to A_i, writing each
+    image once.
+    """
     if i < 0:
         raise ValueError(f"exponent must be >= 0, got {i}")
-    w = "a"
-    for _ in range(i):
-        w = phi(w)
-    return w
+    for a, _ in _images(i):
+        pass
+    return a
 
 
 def phi_run(i: int) -> str:
     """Concatenation of the morphism images of "a" from exponent i down to 0.
 
     Has length f(2i+3) - 1 and is a prefix of the (i+1)-fold image of "a".
+    A_i ... A_0 come from one walk of (A, B) -> (A + A + B, A + B) from
+    ("a", "b"), which writes each image once.
     """
     if i < 0:
         raise ValueError(f"exponent must be >= 0, got {i}")
-    return "".join(phi_power_a(j) for j in range(i, -1, -1))
+    return "".join(reversed([a for a, _ in _images(i)]))
 
 
 GeneratorVariant = Literal["fib", "gib", "T", "phi"]
@@ -175,11 +196,12 @@ class FibSpec:
 def fib_lyndon_factor(i: int) -> str:
     """The i-th Lyndon factor of the infinite Fibonacci word: "ab", then morphism iterates.
 
-    The i-th factor has length f(2i+1).
+    The i-th factor has length f(2i+1).  It is phi^(i-1)(ab) = A_(i-1) +
+    B_(i-1), from one walk of (A, B) -> (A + A + B, A + B) from ("a", "b"),
+    which writes each image once.
     """
     if i < 1:
         raise ValueError(f"index must be >= 1, got {i}")
-    w = "ab"
-    for _ in range(i - 1):
-        w = phi(w)
-    return w
+    for a, b in _images(i - 1):
+        pass
+    return a + b

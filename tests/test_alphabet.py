@@ -28,6 +28,14 @@ def test_for_text_rejects_empty_and_uncovered_texts():
         ValueError, match=r"^text contains symbols \['c', 'd'\] outside the ordering 'ab'$"
     ):
         AlphabetOrdering.for_text("dabc", ORD_AB)
+    # past ASCII, where str.translate leaves its ASCII fast path
+    every_byte = "".join(map(chr, range(256)))
+    all_bytes = AlphabetOrdering.from_string(every_byte)
+    assert AlphabetOrdering.for_text(every_byte, all_bytes) is all_bytes
+    with pytest.raises(
+        ValueError, match=r"^text contains symbols \['\xff'\] outside the ordering 'ab'$"
+    ):
+        AlphabetOrdering.for_text("ab\xffba", ORD_AB)
 
 
 ENTRY_POINTS = {

@@ -127,6 +127,18 @@ def test_phi_run_lengths():
     assert phi_run(1) == "aaba"
 
 
+def test_morphism_builders_match_phi_applied_step_by_step():
+    # the builders concatenate images; phi rewrites the word it is handed
+    images = ["a"]
+    factor = "ab"
+    for i in range(15):
+        assert phi_power_a(i) == images[i], i
+        assert phi_run(i) == "".join(reversed(images)), i
+        assert fib_lyndon_factor(i + 1) == factor, i
+        images.append(phi(images[i]))
+        factor = phi(factor)
+
+
 def test_fib_lyndon_factor():
     assert fib_lyndon_factor(1) == "ab"
     assert fib_lyndon_factor(2) == "aabab"
