@@ -22,6 +22,8 @@ class AlphabetOrdering:
     _rank: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.symbols, tuple):
+            raise ValueError(f"symbols {self.symbols!r} is not a tuple (from_string reads a spec)")
         if not self.symbols:
             raise ValueError("an ordering needs at least one symbol")
         if any(len(s) != 1 for s in self.symbols):
@@ -72,6 +74,15 @@ class AlphabetOrdering:
             return tuple(map(self._rank.__getitem__, text))
         except KeyError as exc:
             raise ValueError(f"symbol {exc.args[0]!r} not in ordering {self.spec!r}") from None
+
+    def ranks(self, text: str) -> bytes:
+        """``text`` as its symbols' 0-based ranks, one byte each (an ordering
+        has at most ``MAX_ALPHABET`` symbols): the text every fast path reads,
+        whose bytes order is the order under the ordering.  ``text`` must be
+        covered, as :meth:`for_text` checks.  The table is built per call, as
+        most orderings (up to 8! in one ordering scan) never rename a text.
+        """
+        return text.translate({ord(c): r for r, c in enumerate(self.symbols)}).encode("latin-1")
 
 
 def all_orderings(symbols: Iterable[str]) -> Iterator[AlphabetOrdering]:

@@ -68,15 +68,14 @@ def lyndon_factorize(w: str, ordering: AlphabetOrdering | None = None) -> Lyndon
     ``_SCAN`` symbols, and past that by one longest-common-extension query
     (:func:`lexparse.textops._lce`), which compares its first 8 symbols one
     at a time and then gallops over slice comparisons, so a stretch
-    thousands of symbols long costs O(log length) slices.  Symbols are
-    renamed to their ranks, one byte each (an ordering has at most
-    ``MAX_ALPHABET`` = 256 symbols), so that comparing the bytes is the
-    order under the ordering.  Each run of a factor is emitted whole, as the
+    thousands of symbols long costs O(log length) slices.  The word is
+    read as its rank bytes (:meth:`AlphabetOrdering.ranks`), whose order is
+    the order under the ordering.  Each run of a factor is emitted whole, as the
     factor and its exponent: the factor that follows is a proper prefix of
     this one, or a prefix followed by a smaller symbol, so it never repeats it.
     """
     ordering = AlphabetOrdering.for_text(w, ordering)
-    s = w.translate({ord(c): r for r, c in enumerate(ordering.symbols)}).encode("latin-1")
+    s = ordering.ranks(w)
     n = len(s)
     factors: list[tuple[str, int]] = []
     i = 0

@@ -114,11 +114,12 @@ def edit_sensitivity_scan(
 class _EditedCounter:
     """Lex-parse phrase counts of the single-edit neighbours of one text.
 
-    Symbols are renamed to ``chr(rank)``, so that ``str`` comparison is the
-    order under the ordering (a proper prefix sorts first, as with no end
-    marker).  In these terms the base text is ``u`` and a neighbour is
-    ``t = u[:a] + e + u[b:]``, with ``b = a + 1`` for a substitution or a
-    deletion, ``b = a`` for an insertion, and ``e`` empty for a deletion.
+    Texts are read as their rank bytes (:meth:`AlphabetOrdering.ranks`), so
+    that ``bytes`` comparison is the order under the ordering (a proper
+    prefix sorts first, as with no end marker).  In these terms the base
+    text is ``u`` and a neighbour is ``t = u[:a] + e + u[b:]``, with
+    ``b = a + 1`` for a substitution or a deletion, ``b = a`` for an
+    insertion, and ``e`` empty for a deletion.
 
     A phrase starting at i copies the longest common prefix of ``x = t[i:]``
     with a smaller suffix of ``t``.  ``x`` names that suffix, which is read in
@@ -143,8 +144,10 @@ class _EditedCounter:
     """
 
     def __init__(self, text: str, ordering: AlphabetOrdering):
-        self.table = {ord(c): chr(r) for r, c in enumerate(ordering.symbols)}
-        self.u = text.translate(self.table)
+        self.u = ordering.ranks(text)
+        # each edit's e (None: a deletion's), renamed once per scan
+        self.edits = {c: ordering.ranks(c) for c in ordering.symbols}
+        self.edits[None] = b""
         sa = build_suffix_array(text, ordering)
         self.sa, self.rank, self.lcp = sa.sa, sa.rank, sa.lcp  # read as built, 1-based
         self.base_v = lex_parse(text, ordering, sa=sa).v
@@ -183,7 +186,7 @@ class _EditedCounter:
         u, sa, rank, lcp = self.u, self.sa, self.rank, self.lcp
         a = cand.position - 1
         b = a + (cand.old is not None)
-        e = "" if cand.new is None else self.table[ord(cand.new)]
+        e = self.edits[cand.new]
         t = u[:a] + e + u[b:]
         n = len(t)
         tail = a + len(e)  # t[j:] == u[j + b - tail:] for j >= tail
@@ -268,7 +271,7 @@ class _EditedCounter:
         return v + 1
 
 
-def _reach_bound(t: str, a: int, left: int) -> int:
+def _reach_bound(t: bytes, a: int, left: int) -> int:
     """An upper bound on the longest suffix of ``t[:a]`` that also occurs in ``t`` at another start.
 
     ``left`` is the longest suffix of ``t[:a]`` that ends elsewhere in the
@@ -366,7 +369,7 @@ class _OrderingFreeTree:
 
     def __init__(self, text: str, ordering: AlphabetOrdering):
         self.index = {c: b for b, c in enumerate(ordering.symbols)}
-        self.s = s = ordering.key(text) + (len(ordering.symbols),)  # then symbol sigma
+        self.s = s = (*ordering.ranks(text), len(ordering.symbols))  # then symbol sigma
         built = build_suffix_array(text, ordering)
         sa, lcp = built.sa, built.lcp
         n = len(text)

@@ -1,11 +1,12 @@
 """Suffix arrays under an arbitrary alphabet ordering, with LCP support.
 
-The ordering is absorbed by renaming symbols to their ranks before
-construction, so one code path serves every ordering.  Construction is
-SA-IS (linear time, by induced sorting) over the ranks shifted up by one,
-behind one symbol above them all and with a sentinel 0 appended, so that
-SA-IS returns 1-based text positions; a naive full sort is kept
-permanently as the test oracle.  Each SA-IS level whose alphabet fits in a
+The ordering is absorbed before construction: the text is read as its
+rank bytes (:meth:`AlphabetOrdering.ranks`), so one code path serves every
+ordering.  Construction is SA-IS (linear time, by induced sorting) over
+those ranks shifted up by one, behind one symbol above them all and with a
+sentinel 0 appended, so that SA-IS returns 1-based text positions; a naive
+full sort of :meth:`AlphabetOrdering.key` tuples is kept permanently as the
+test oracle.  Each SA-IS level whose alphabet fits in a
 byte holds its string as ``bytes``: the top level for orderings of up to
 254 symbols, and every reduced string of at most 256 names.  SA-IS's
 per-position bookkeeping (suffix types, LMS positions, LMS substring keys)
@@ -23,7 +24,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
 from operator import add
 
 from .alphabet import AlphabetOrdering
@@ -110,15 +111,22 @@ class SuffixArray:
             raise ValueError(f"position {i} out of range [1..{len(self.text)}]")
 
 
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # a byte level's ranks, each one up
+
+
 def build_suffix_array(text: str, ordering: AlphabetOrdering | None = None) -> SuffixArray:
     """Suffix array of ``text`` under ``ordering`` (default: code-point order)."""
     ordering = AlphabetOrdering.for_text(text, ordering)
     top = len(ordering.symbols) + 1
-    # A leading symbol above every other makes each text position its own
-    # 1-based index in s, and its suffix sorts last; the sentinel 0 at the
-    # end, smaller than every symbol, sorts first.
-    s = chr(top) + text.translate({ord(c): r for r, c in enumerate(ordering.symbols, 1)}) + "\0"
-    s = s.encode("latin-1") if _fits_a_byte(top + 1) else list(map(ord, s))
+    # The ranks go up by one, above the sentinel 0 at the end, which sorts
+    # first; a leading symbol above every other makes each text position its
+    # own 1-based index in s, and its suffix sorts last.
+    ranks = ordering.ranks(text)
+    if _fits_a_byte(top + 1):
+        s = bytes((top,)) + ranks.translate(_PLUS_ONE) + b"\0"
+    else:
+        s = [top, *map(add, ranks, repeat(1)), 0]
+    del ranks
     sa1 = _sais(s, top + 1)
     del s
     sa = array("i", sa1)

@@ -3,12 +3,22 @@
 import itertools
 import re
 from fractions import Fraction
+from pathlib import Path
 
 from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.parse import LexParse, MalformedParseError, v_count
 from lexparse.sensitivity import AOSensitivityReport
 from lexparse.suffixes import build_suffix_array
 from lexparse.textops import edit_candidates
+
+
+def oldest_declared_python():
+    """The (major, minor) floor of ``requires-python`` in ``pyproject.toml``,
+    read by regex: tomllib is not in the standard library before 3.11."""
+    spec = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', spec, re.MULTILINE)
+    assert found, "pyproject.toml declares no requires-python lower bound"
+    return int(found[1]), int(found[2])
 
 
 def all_binary_strings(min_len, max_len):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from lexparse.alphabet import AlphabetOrdering
@@ -7,6 +9,33 @@ from lexparse.sensitivity import edit_sensitivity_scan
 from lexparse.suffixes import build_suffix_array, build_suffix_array_naive
 
 ORD_AB = AlphabetOrdering.from_string("ab")
+
+
+def test_symbols_must_be_a_tuple():
+    # A spec string or a list in place of the tuple would make an ordering
+    # that differs from the same order read by from_string, or is unhashable.
+    for symbols in ("ab", ["a", "b"]):
+        with pytest.raises(ValueError, match=r"^symbols .* is not a tuple"):
+            AlphabetOrdering(symbols)
+    assert AlphabetOrdering(("a", "b")) == ORD_AB
+
+
+# Symbol blocks for the wide-alphabet tests: Latin-1, CJK and astral.
+WIDE_BLOCKS = {"latin1": 0x00, "cjk": 0x4E00, "astral": 0x1F300}
+
+
+@pytest.mark.parametrize("block", WIDE_BLOCKS.values(), ids=WIDE_BLOCKS.keys())
+@pytest.mark.parametrize("sigma", [1, 2, 254, 255, 256])
+def test_ranks_are_the_key_in_bytes(block, sigma):
+    # Every fast path reads the text as ranks(); the oracles read key().
+    rng = random.Random(sigma)
+    symbols = [chr(block + c) for c in range(sigma)]
+    rng.shuffle(symbols)
+    ordering = AlphabetOrdering(tuple(symbols))
+    text = "".join(symbols) + "".join(rng.choices(symbols, k=500))
+    ranks = ordering.ranks(text)
+    assert type(ranks) is bytes and ranks == bytes(ordering.key(text))
+    assert ordering.ranks(ordering.spec) == bytes(range(sigma))
 
 
 def test_for_text_defaults_to_code_point_order():

@@ -83,6 +83,17 @@ def test_duval_matches_brute_force():
             assert all_facs[0] == lyndon_factorize(w, ordering).factors
 
 
+def test_factorization_matches_brute_force_over_astral_symbols():
+    # Duval reads rank bytes; symbols above U+00FF, under an ordering that
+    # is not code-point order
+    symbols = "\U0001F40D\U0001F300\U0001F9E9\U0001F4A1"
+    ordering = AlphabetOrdering(tuple(symbols))
+    rng = random.Random(1404)
+    for _ in range(60):
+        w = random_text(rng, symbols, 10)
+        assert brute_factorizations(w, ordering) == [lyndon_factorize(w, ordering).factors], w
+
+
 def test_duval_jumps_on_long_runs():
     # Duval crosses each stretch where the word repeats itself one period
     # back in one step; these words (up to fib(16), 987 symbols, and a

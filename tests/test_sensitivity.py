@@ -144,6 +144,24 @@ def test_scan_rows_match_per_candidate_rebuilds_on_every_short_binary_word(kind,
             assert [r.v for r in report.rows] == edit_scan_oracle(text, kind, ordering), text
 
 
+# Four astral symbols, smallest first; the texts below lack the one ranked second.
+ASTRAL = "\U0001F40D\U0001F300\U0001F9E9\U0001F4A1"
+
+
+@pytest.mark.parametrize("kind", ["sub", "ins", "del"])
+def test_scan_rows_match_per_candidate_rebuilds_under_an_astral_ordering(kind):
+    # Symbols above U+00FF, and one in the ordering that the text lacks, go
+    # through the counter's rank bytes as the rebuilds' key() tuples.
+    ordering = AlphabetOrdering(tuple(ASTRAL))
+    rng = random.Random(4)
+    shown = ASTRAL[0] + ASTRAL[2:]
+    texts = [fibonacci(10).translate({ord("a"): ASTRAL[3], ord("b"): ASTRAL[0]})]
+    texts += [random_text(rng, shown, 40, min_len=2) for _ in range(12)]
+    for text in texts:
+        report = edit_sensitivity_scan(text, kind, ordering, keep_rows=True)
+        assert [r.v for r in report.rows] == edit_scan_oracle(text, kind, ordering), text
+
+
 def _straddling_texts():
     """Texts whose edit counts ask many LCE queries that end at 7, 8 or 9
     symbols, on either side of the 8 that ``_lce`` compares one at a time:
@@ -203,7 +221,7 @@ def _assert_reach_bounds(text, ordering):
     edited_at = set()
     for kind in ("sub", "ins", "del"):
         for cand in edit_candidates(text, kind, ordering):
-            t = cand.text.translate(counter.table)
+            t = ordering.ranks(cand.text)
             a = cand.position - 1
             assert exact_reach(t, a) <= _reach_bound(t, a, counter.left[a]) <= a, (text, cand)
             edited_at.add(a)
@@ -372,6 +390,14 @@ def test_ao_scan_sigma8_sampled_orderings():
     assert list(report.per_ordering) == [o.spec for o in orderings]
     for o in random.Random(8).sample(orderings, 50):
         assert report.per_ordering[o.spec] == v_count(text, o), o.spec
+
+
+def test_ao_scan_matches_per_ordering_rebuilds_on_astral_texts():
+    # the tree's per-ordering symbol bits are read from rank bytes
+    rng = random.Random(44)
+    for n in (4, 9, 30, 60):
+        text = ASTRAL + random_text(rng, ASTRAL, n, min_len=n)
+        assert ao_sensitivity_scan(text) == ao_scan_oracle(text), text
 
 
 def test_ao_scan_refuses_wide_alphabets():

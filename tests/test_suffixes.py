@@ -132,6 +132,21 @@ def test_sais_matches_naive_over_all_256_byte_values():
     assert_matches_naive(w, AlphabetOrdering(forward.symbols[::-1]))
 
 
+@pytest.mark.parametrize("sigma", [255, 256])
+def test_sais_matches_naive_over_astral_alphabets(sigma):
+    # 255 and 256 symbols above U+FFFF put the top level on the list path,
+    # where each rank goes up by one as the list is built
+    rng = random.Random(sigma)
+    symbols = [chr(0x1F000 + c) for c in range(sigma)]
+    rng.shuffle(symbols)
+    runs = "".join(c * rng.randint(20, 60) for c in (symbols[0], symbols[-1], symbols[1]))
+    w = "".join(symbols) + runs + "".join(rng.choices(symbols, k=400)) + symbols[-1] * 30
+    ordering = AlphabetOrdering(tuple(symbols))
+    assert_matches_naive(w, ordering)
+    assert_matches_naive(w, AlphabetOrdering(ordering.symbols[::-1]))
+    assert_matches_naive(w)
+
+
 def types_by_definition(s):
     """Suffix types of ``s`` symbol by symbol, right to left: 1 where suffix
     i is S-type, 0 where it is L-type; the last suffix is S-type."""

@@ -1,8 +1,9 @@
 """Every Python file parses under the oldest Python the package declares."""
 
 import ast
-import re
 from pathlib import Path
+
+from conftest import oldest_declared_python
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -12,11 +13,7 @@ def test_sources_parse_under_the_oldest_declared_python():
     for one) in ``src/``, ``tests/`` and ``perfbench/``.  Only the grammar is
     checked: a call to a library function that the oldest version lacks still
     parses, and is not caught here."""
-    # read by regex: tomllib is not in the standard library before 3.11
-    spec = (ROOT / "pyproject.toml").read_text()
-    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', spec, re.MULTILINE)
-    assert found, "pyproject.toml declares no requires-python lower bound"
-    version = int(found[1]), int(found[2])
+    version = oldest_declared_python()
     paths = sorted(path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py"))
     assert ROOT / "src" / "lexparse" / "parse.py" in paths
     failed = []
