@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 MAX_ALPHABET = 256
@@ -19,7 +20,6 @@ class AlphabetOrdering:
     """
 
     symbols: tuple[str, ...]
-    _rank: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.symbols, tuple):
@@ -33,7 +33,12 @@ class AlphabetOrdering:
             raise ValueError(f"duplicate symbol in ordering {''.join(self.symbols)!r}")
         if len(self.symbols) > MAX_ALPHABET:
             raise ValueError(f"alphabet larger than {MAX_ALPHABET} symbols")
-        object.__setattr__(self, "_rank", {c: i for i, c in enumerate(self.symbols)})
+
+    @cached_property
+    def _rank(self) -> dict[str, int]:
+        """Each symbol's 0-based rank, built on first use: most orderings (up
+        to 8! in one ordering scan) never rank a symbol."""
+        return {c: i for i, c in enumerate(self.symbols)}
 
     @classmethod
     def from_string(cls, spec: str) -> AlphabetOrdering:
@@ -51,7 +56,7 @@ class AlphabetOrdering:
         # Deleting the ordering's symbols leaves nothing of a covered text; the
         # symbol set is built only to name what is left.
         if text.translate(dict.fromkeys(map(ord, ordering.symbols))):
-            extra = sorted(set(text).difference(ordering._rank))
+            extra = sorted(set(text).difference(ordering.symbols))
             raise ValueError(
                 f"text contains symbols {extra!r} outside the ordering {ordering.spec!r}"
             )

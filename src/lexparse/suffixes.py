@@ -24,8 +24,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, compress, repeat
-from operator import add
+from itertools import accumulate, compress, islice, repeat
+from operator import add, eq
 
 from .alphabet import AlphabetOrdering
 
@@ -150,6 +150,14 @@ def _fits_a_byte(k: int) -> bool:
     return k <= 256
 
 
+# The widest level whose buckets are counted by one bytes.count pass per
+# symbol; above it the counting loop is faster (about 3 ms either way over
+# 10^5 random bytes at k = 36, 2 cores, Python 3.11.7).
+_MAX_COUNT_PASSES = 36
+# The LMS substrings past a tied one whose keys break the tie.
+_WINDOW = 8
+
+
 def _sais(s: bytes | list[int], k: int) -> list[int]:
     """0-based suffix array of ``s`` by SA-IS (Nong, Zhang & Chan, DCC 2009).
 
@@ -163,26 +171,34 @@ def _sais(s: bytes | list[int], k: int) -> list[int]:
     one mask over the types and ``compress``, and a byte level's LMS
     substring keys by one ``bytes.split`` of 5-byte records
     (:func:`_byte_keys`); a list level slices its keys from one buffer that
-    holds each position as the big-endian 4-byte code ``2 * symbol + type``.
+    holds each position as the big-endian 4-byte code ``2 * symbol + type``,
+    one big-integer shift and or over its lanes.
     The LMS substrings are named by sorting their keys, not by an induce
     pass: SA-IS orders them as their sequences of (symbol, type) pairs, S
     above L at equal symbols, and that is the bytes order of the keys.  No
     LMS substring is a proper prefix of another (where the shorter ends, the
     longer would hold an LMS position too), so ``memcmp`` decides.  The
-    distinct keys are collected in a ``dict`` of keys alone: if every key
-    is distinct, the LMS indices sorted by key are the order; if not, only
-    the distinct keys are sorted and named, and the names, mapped over the
-    keys, make the reduced string.
+    distinct keys are collected in a ``dict`` of keys alone, which counts
+    the names.  If at most m/8 of the m LMS substrings tie, the LMS indices
+    are sorted by key, and each run of equal keys by the keys that follow
+    (:func:`_break_ties`); that order is final unless some run's windows tie
+    too.  If more tie, or if some windows do, only the distinct keys are
+    sorted and named, and the names, mapped over the keys, make the reduced
+    string that the next level sorts.  So random texts, whose LMS substrings
+    are nearly all distinct, end their recursion there, and Fibonacci words,
+    with 4 names at every level, recurse as before.
 
-    The LMS placement, the bucket counts of a list level and the final
-    induce pass stay Python loops.  The pass writes into a Python list,
-    about 40 bytes a slot with the int object it holds; ``array('i')``
-    would take 4, but it made builds of Fibonacci words 5-20% slower.  The
-    LMS positions and their order are freed once placed, so the traced
-    peak is that list beside the byte levels on random ``acgt`` and
-    Fibonacci words, about 44 bytes a symbol; over all 256 byte values the
-    top level is a list, and the peak is about 67, in the recursion, whose
-    bucket lists hold an int object per reduced symbol.
+    The LMS placement, the bucket counts of a level wider than
+    ``_MAX_COUNT_PASSES`` and the final induce pass stay Python loops.  The
+    pass writes into a Python list, about 40 bytes a slot with the int
+    object it holds; ``array('i')`` would take 4, but it made builds of
+    Fibonacci words 5-20% slower.  The LMS positions and their order are
+    freed once placed, so the traced peak is that list beside the byte
+    levels on random ``acgt`` and Fibonacci words, about 44 bytes a symbol.
+    Over all 256 byte values the top level is a list, and the peak is about
+    52, at the sort of its keys, whose order holds an int object per LMS
+    index; the ``dict`` is dropped before that sort, and collected again from
+    the sorted keys if the sort's order is not final.
     """
     n = len(s)
     stype = _types(s, k)
@@ -197,24 +213,40 @@ def _sais(s: bytes | list[int], k: int) -> list[int]:
         keys = _byte_keys(s, stype, lms_at)
     else:
         # A substring reaches up to and including the next LMS position; the
-        # sentinel's is its own code alone, the smallest key of all.
-        codes = array("I", map(add, map(add, s, s), stype))
+        # sentinel's is its own code alone, the smallest key of all.  The
+        # codes are one shift and one or over big-endian 4-byte lanes, with
+        # each type in the lowest byte of its lane.  Each buffer is freed as
+        # soon as the next is made: these are 4n bytes each, and one more
+        # live at once raised the parse benchmark's peak RSS by a tenth.
+        lanes = array("I", s)
         if sys.byteorder == "little":
-            codes.byteswap()
-        w = codes.itemsize
-        buf = codes.tobytes()
-        del codes
+            lanes.byteswap()
+        w = lanes.itemsize
+        x = int.from_bytes(lanes, "big") << 1
+        del lanes
+        low = bytearray(w * n)
+        low[w - 1 :: w] = stype
+        y = int.from_bytes(low, "big")
+        del low
+        x |= y
+        del y
+        buf = x.to_bytes(w * n, "big")
+        del x
         keys = [buf[w * a : w * b + w] for a, b in zip(lms, lms[1:])]
         keys.append(buf[w * (n - 1) :])
         del buf
     del lms_at
     name = dict.fromkeys(keys)  # the distinct keys
     d = len(name)  # the number of names
-    if d == m:  # every LMS substring differs: the order of the keys is final
-        del name
+    order = None
+    if 8 * (m - d) <= m:  # at most m/8 LMS substrings tie: sort them by key
+        name = None  # freed for the sort, which holds an int object an index
         order = sorted(range(m), key=keys.__getitem__)
-        del keys
-    else:  # name the distinct keys in sorted order, then sort the reduced string of names
+        if d < m and not _break_ties(order, keys):
+            # still sorted by key, so the distinct keys come back sorted
+            name = dict.fromkeys(map(keys.__getitem__, order))
+            order = None
+    if order is None:  # name the distinct keys in sorted order, then sort the reduced string of names
         name.update(zip(sorted(name), range(d)))
         reduced = list(map(name.__getitem__, keys))  # the names in text order
         del name, keys
@@ -222,12 +254,14 @@ def _sais(s: bytes | list[int], k: int) -> list[int]:
             reduced = bytes(reduced)
         order = _sais(reduced, d)
         del reduced
+    else:
+        del name, keys
 
     # Place the LMS suffixes at their bucket ends in sorted order, then induce
     # the L-type suffixes left to right and the S-type suffixes right to left.
     # Both passes iterate over sa while writing into it: every write lands
     # ahead of the iterator, which reads each slot when it reaches it.
-    if _fits_a_byte(k):
+    if k <= _MAX_COUNT_PASSES:
         counts = list(map(s.count, range(k)))
     else:
         counts = [0] * k
@@ -260,6 +294,33 @@ def _sais(s: bytes | list[int], k: int) -> list[int]:
                 tail[c] -= 1
                 sa[tail[c]] = p
     return sa
+
+
+def _break_ties(order: list[int], keys: list[bytes]) -> bool:
+    """Order each run of equal keys in ``order``, the LMS indices sorted by
+    key, as the suffixes of the reduced string would sort; False if it cannot.
+
+    Names follow key order, so the members of a run sort by the keys of the
+    LMS substrings that follow them, and the first ``_WINDOW`` of those
+    settle the order unless two members' windows are equal.  A window cut
+    short by the end of ``keys`` ends with the sentinel's key, which no
+    other LMS substring has, so it differs from any other window before
+    either ends: no window is a proper prefix of another.
+    """
+    key = keys.__getitem__
+    runs = []  # [first, last] slots in order of each run of equal keys
+    for j in compress(range(1, len(order)), map(eq, map(key, order), map(key, islice(order, 1, None)))):
+        if runs and runs[-1][1] == j - 1:
+            runs[-1][1] = j
+        else:
+            runs.append([j - 1, j])
+    w = _WINDOW
+    for a, b in runs:
+        run = sorted((keys[i + 1 : i + 1 + w], i) for i in order[a : b + 1])
+        if any(x[0] == y[0] for x, y in zip(run, run[1:])):
+            return False
+        order[a : b + 1] = [i for _, i in run]
+    return True
 
 
 # Positions a chunk of the type scan covers, so that its big integers take a

@@ -2,9 +2,9 @@
 
 ``tracemalloc`` counts every allocation the interpreter makes, so these
 figures repeat exactly from run to run.  The limits sit above what the
-current code reaches (noted per test) and, but for the all-byte-values
-suffix array's, below what it reached before its working set was trimmed
-(``build_suffix_array`` 80-88 and ``decode`` 57 bytes a symbol).
+current code reaches (noted per test) and below what it reached before
+its working set was trimmed (``build_suffix_array`` 67-88 and ``decode``
+57 bytes a symbol).
 """
 
 import gc
@@ -67,23 +67,28 @@ def test_suffix_array_peak_on_a_fibonacci_word():
 
 def test_suffix_array_peak_over_all_byte_values():
     # The shape of the parse benchmark's random-bytes input: one LMS position
-    # in three, with mostly distinct names, so the recursion's bucket lists
-    # hold an int object per reduced symbol.  67.3 here; 80.6 when an induce
+    # in three, with nearly distinct names, so the top level (a list) orders
+    # its LMS substrings by their keys and does not recurse.  52.3 here, at
+    # that sort, whose order holds an int object per LMS index beside the
+    # keys; 63.0 when the dict of distinct keys was kept through the sort.
+    # 67.3 when the level named its keys and recursed, where the bucket lists
+    # held an int object per reduced symbol; 80.6 when, besides, an induce
     # pass named the LMS substrings and each level built its bucket lists
     # before recursing, and 91.0 when the naming sort's order was kept alive
     # through the recursion.
     rng = random.Random(256)
     text = "".join(map(chr, rng.choices(range(256), k=20_000)))
     assert len(set(text)) == 256
-    assert peak_bytes_per_symbol(len(text), build_suffix_array, text) <= 85
+    assert peak_bytes_per_symbol(len(text), build_suffix_array, text) <= 60
 
 
 def test_suffix_array_peak_at_the_widest_byte_level():
     # 254 symbols make the top level's alphabet 256 wide, the widest held as
-    # bytes, and its LMS substrings all distinct.  44.2 here, where the level
+    # bytes, and its LMS substrings all distinct.  43.9 here, where the level
     # collects its distinct keys in a dict of keys alone and, finding them
-    # all distinct, sorts the LMS indices by key; 45.7 when it sorted them
-    # and named them in a loop, and 52.6 when the dict mapped each key to
+    # all distinct, drops it and sorts the LMS indices by key; 54.6 with the
+    # dict kept through that sort, 45.7 when it sorted them and named them
+    # in a loop, and 52.6 when the dict mapped each key to
     # its index and the order came from the dict's sorted keys.
     rng = random.Random(254)
     symbols = [chr(c) for c in range(254)]

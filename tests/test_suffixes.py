@@ -7,7 +7,7 @@ from lexparse import suffixes
 from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.closedforms import edited_sa_prefix
 from lexparse.fibwords import edited_fib, fib_length, fibonacci
-from lexparse.suffixes import _sais, build_suffix_array, build_suffix_array_naive
+from lexparse.suffixes import _break_ties, _sais, build_suffix_array, build_suffix_array_naive
 
 ORD_AB = AlphabetOrdering.from_string("ab")
 ORD_BA = AlphabetOrdering.from_string("ba")
@@ -299,6 +299,97 @@ def test_byte_level_names_repeated_lms_substrings(monkeypatch):
         assert list(reduced) == [distinct.index(sub) for sub in subs]
 
 
+def tie_breaks(monkeypatch):
+    """The results of ``_break_ties``, level by level, from now on."""
+    results = []
+
+    def recorded(order, keys):
+        results.append(_break_ties(order, keys))
+        return results[-1]
+
+    monkeypatch.setattr(suffixes, "_break_ties", recorded)
+    return results
+
+
+def planted_level(rng, k, n, block, times):
+    """``n`` random symbols over ``1..k-1`` ending with the sentinel 0, with
+    ``block`` written over them at ``times`` random places; ``bytes`` if the
+    level fits a byte."""
+    s = rng.choices(range(1, k), k=n - 1) + [0]
+    for _ in range(times):
+        p = rng.randrange(n - 1 - len(block))
+        s[p : p + len(block)] = block
+    return bytes(s) if k <= 256 else s
+
+
+def ties(s):
+    """The number of LMS substrings of ``s`` and how many of them repeat one before."""
+    subs = lms_substrings(s)
+    return len(subs), len(subs) - len(set(subs))
+
+
+# Its LMS substring from the 100 to the 110 is the same in every copy, and
+# so is each following one that ends inside the block.
+TIED = [200, 100, 150, 120, 110, 130]
+
+
+@pytest.mark.parametrize("k", [256, 1_000])
+def test_sais_breaks_a_few_ties_by_the_keys_that_follow(monkeypatch, k):
+    # Twelve copies of the block tie one LMS substring twelve ways, and the
+    # random symbols after each copy break the ties within the window: at
+    # most m/8 ties, ordered at the level itself, without naming or recursing.
+    s = planted_level(random.Random(k), k, 3_000, TIED, 12)
+    m, tied = ties(s)
+    assert 11 <= tied and 8 * tied <= m
+    breaks = tie_breaks(monkeypatch)
+    assert len(sais_levels(monkeypatch, s, k)) == 1
+    assert breaks == [True]
+
+
+def test_sais_names_and_recurses_when_a_window_ties(monkeypatch):
+    # A random block of 100 symbols, twice: about 30 LMS substrings tie in
+    # pairs, with the same keys following each pair past the window.  Few
+    # enough to try the keys, so the level falls back to naming and recurses.
+    rng = random.Random(100)
+    parts = [rng.choices(range(1, 256), k=1_000) for _ in range(3)]
+    block = rng.choices(range(1, 256), k=100)
+    s = bytes(parts[0] + block + parts[1] + block + parts[2] + [0])
+    m, tied = ties(s)
+    assert suffixes._WINDOW < tied and 8 * tied <= m
+    breaks = tie_breaks(monkeypatch)
+    assert len(sais_levels(monkeypatch, s, 256)) >= 2
+    assert breaks[0] is False
+
+
+@pytest.mark.parametrize("k", [256, 1_000])
+def test_sais_breaks_ties_whose_windows_reach_the_sentinel(monkeypatch, k):
+    # The block's last copy ends the level, so the window after its tied LMS
+    # substring holds the one that ends at the sentinel and the sentinel's
+    # own key, and stops there; the other copy's window goes on.
+    rng = random.Random(k)
+    breaks = tie_breaks(monkeypatch)
+    for _ in range(20):
+        head = rng.choices(range(1, k), k=rng.randint(20, 200))
+        s = head + TIED + head[: rng.randint(0, 3)] + TIED + [0]
+        assert ties(s)[1] > 0
+        assert len(sais_levels(monkeypatch, bytes(s) if k <= 256 else s, k)) == 1
+    assert breaks == [True] * 20
+
+
+def test_sais_with_a_window_of_one(monkeypatch):
+    # The keys of one LMS substring past each tie break some ties; a block
+    # that fixes the next LMS substring too makes the level name and recurse.
+    monkeypatch.setattr(suffixes, "_WINDOW", 1)
+    rng = random.Random(1)
+    breaks = tie_breaks(monkeypatch)
+    for i in range(40):
+        block = TIED + [90, 140, 80, 160] if i % 2 else TIED
+        for k in (256, 1_000):
+            s = planted_level(rng, k, rng.randint(200, 600), block, rng.randint(2, 6))
+            sais_levels(monkeypatch, s, k)
+    assert True in breaks and False in breaks
+
+
 def sais_level_types(monkeypatch, w, ordering=None):
     """``build_suffix_array(w, ordering)`` checked against the oracle; returns
     the type of the string each SA-IS level sorts, top level first, after
@@ -358,7 +449,9 @@ def test_suffix_array_of_random_bytes_is_sorted():
 
 @pytest.mark.slow
 def test_suffix_array_of_a_million_random_bytes_is_sorted():
-    # suffix pair by pair; SA-IS recurses there on about 333,000 names
+    # suffix pair by pair; the top level (a list) has 332,800 LMS substrings
+    # under 330,713 names, few enough ties to order them by their keys
+    # without recursing
     t = "".join(map(chr, random.Random(1).choices(range(256), k=10**6)))
     sa = [p - 1 for p in build_suffix_array(t).sa]
     assert sorted(sa) == list(range(len(t)))
@@ -370,17 +463,21 @@ def test_suffix_array_of_a_million_random_bytes_is_sorted():
 @pytest.mark.slow
 def test_suffix_arrays_of_a_million_symbols_held_as_bytes_are_sorted():
     # Suffix pair by pair: 10^6 acgt symbols with runs of up to 40,000, past
-    # the type scan's chunks, and 10^6 symbols over 254 values, whose top
-    # level is 256 symbols wide.  On a tie of first symbols the pair is
-    # ordered by the ranks of the suffixes one on, which compares long runs
-    # in O(1) where slices would copy them.
+    # the type scan's chunks; 10^6 symbols over 254 values, whose top level
+    # is 256 symbols wide; and 10^6 uniform acgt symbols, the parse
+    # benchmark's shape, whose second level (a list of 291,574 symbols)
+    # orders its 93,218 LMS substrings, under 88,686 names, by their keys.
+    # On a tie of first symbols the pair is ordered by the ranks of the
+    # suffixes one on, which compares long runs in O(1) where slices would
+    # copy them.
     rng = random.Random(1)
     runs, n = [], 0
     while n < 10**6:
         runs.append(rng.choice("acgt") * (rng.randint(1, 8) if rng.random() > 0.001 else rng.randint(20_000, 40_000)))
         n += len(runs[-1])
     symbols = [chr(c) for c in range(254)]
-    for t in ("".join(runs)[: 10**6], "".join(symbols) + "".join(rng.choices(symbols, k=10**6 - 254))):
+    texts = ("".join(runs)[: 10**6], "".join(symbols) + "".join(rng.choices(symbols, k=10**6 - 254)))
+    for t in (*texts, "".join(rng.choices("acgt", k=10**6))):
         sa = [p - 1 for p in build_suffix_array(t).sa]
         assert sorted(sa) == list(range(len(t)))
         rank = [0] * (len(t) + 1)  # the empty suffix past the end ranks lowest
