@@ -106,8 +106,10 @@ def test_decode_peak():
 
 
 def test_from_lines_peak():
-    # The reader writes the parse's two columns, 54.0 here over 17,570
-    # phrases; 81.9 when it built an Explicit or Copy object per record.
+    # The reader writes the parse's two columns, 52.4 here over 17,570
+    # phrases read in bulk in chunks of 8 K characters (58.2 with chunks of
+    # 16 K); 53.6 read one line at a time, and 81.9 when the reader built an
+    # Explicit or Copy object per record.
     rng = random.Random(256)
     text = "".join(map(chr, rng.choices(range(256), k=20_000)))
     serialized = to_lines(lex_parse(text))

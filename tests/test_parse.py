@@ -8,6 +8,7 @@ import time
 import pytest
 
 from conftest import all_binary_strings, decode_oracle, from_lines_oracle, random_text
+from lexparse import parse as parse_module
 from lexparse.alphabet import AlphabetOrdering, all_orderings
 from lexparse.fibwords import edited_fib, fibonacci
 from lexparse.parse import (
@@ -216,16 +217,26 @@ def test_decode_rejects_bad_source():
         (((1,), ("a",)), 1, "a", "ordering 'a' is not an AlphabetOrdering"),
         (((1,), ("a",)), 1, None, "ordering None is not an AlphabetOrdering"),
         (((1,), ("a",)), 1, ("a",), "ordering ('a',) is not an AlphabetOrdering"),
+        (((1, 2), ("a", 3)), 3, ORD_AB, "copy phrase at 2 of length 2 has source 3 outside [1..2]"),
+        (((1, True), ("a", 1)), 2, ORD_AB, "copy phrase at 2 has length True"),
+        (((1, 1), ("a", False)), 2, ORD_AB, "copy phrase at 2 of length 1 has source False"),
     ],
     ids=["n-zero", "n-bool", "n-float", "symbol-outside", "two-symbols", "length-zero",
          "length-float", "source-bool", "lengths-sum", "explicit-length", "explicit-length-bool",
          "columns-unequal", "columns-lists", "three-columns", "phrase-object",
-         "phrase-objects", "ordering-spec", "ordering-none", "ordering-symbols"],
+         "phrase-objects", "ordering-spec", "ordering-none", "ordering-symbols",
+         "source-one-past-the-last-start", "copy-length-bool", "source-false"],
 )
 def test_malformed_parse_cannot_be_built(columns, n, ordering, message):
     with pytest.raises(MalformedParseError) as exc:
         LexParse(columns, n, ordering)
     assert str(exc.value).startswith(message)
+
+
+def test_a_copy_may_end_at_the_last_position():
+    # source == n - length + 1, the edge of the one test that accepts a copy
+    p = LexParse(((1, 2, 1, 1), ("a", 4, "b", "a")), 5, ORD_AB)
+    assert decode(p) == "ababa"
 
 
 def test_decode_rejects_cycles():
@@ -443,6 +454,95 @@ def test_trailing_whitespace_is_read_in_linear_time(tail):
     p = from_lines(payload)
     assert time.perf_counter() - start < 1.0
     assert p == from_lines_oracle(payload) == lex_parse("a")
+
+
+# Texts over 1, 2, 4 and 256 symbols whose records hold "E", "C", digits,
+# backslashes, spaces and control bytes as symbols; the long ones make
+# payloads of several of the bulk reader's chunks.
+ALL_BYTES = "".join(map(chr, range(256)))
+BULK_TEXTS = [
+    (alphabet, n, seed)
+    for alphabet in ["E", " ", "C\\", "9\x00", "EC 7", "\\\x01\x7f5"]
+    for n, seed in [(20, 1), (300, 2)]
+] + [(ALL_BYTES, 300, 2), ("C\\", 100_000, 3), ("EC 7", 60_000, 4), (ALL_BYTES, 20_000, 5)]
+
+
+class CountingPattern:
+    """A compiled pattern that counts its ``finditer`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.finditer_calls = 0
+
+    def match(self, *args):
+        return self.pattern.match(*args)
+
+    def finditer(self, *args):
+        self.finditer_calls += 1
+        return self.pattern.finditer(*args)
+
+
+def bulk_mutations(payload, rng):
+    """Single edits of a ``to_lines`` payload that take it off the bulk
+    reader's path, each named, at a random record."""
+    header, *records, last = payload.split("\n")
+    assert last == ""
+
+    def join(recs, head=header, end="\n"):
+        return "\n".join([head, *recs]) + end
+
+    def at(kind=""):
+        return rng.choice([i for i, r in enumerate(records) if r.startswith(kind)])
+
+    def edit(i, record):
+        return records[:i] + [record] + records[i + 1 :]
+
+    i = at()
+    yield "crlf", join(edit(i, records[i] + "\r"))
+    yield "doubled-space", join(edit(i, records[i].replace(" ", "  ", 1)))
+    yield "blank-line", join(records[:i] + [""] + records[i:])
+    yield "trailing-spaces", join(edit(i, records[i] + "  "))
+    yield "uppercase-escape", join(edit(i, "E \\x4A"))
+    c = at("C")
+    yield "long-number", join(edit(c, "C " + "1" * 5000 + " " + records[c].split()[2]))
+    yield "record-past-n", join(records + [records[-1]], head=f"LEXPARSE {len(records)} {header.split()[2]}")
+    yield "no-final-newline", join(records, end="")
+    e = at("E")
+    yield "two-symbols", join(edit(e, records[e] + records[e][2:]))
+
+
+@pytest.mark.parametrize(
+    "alphabet, n, seed",
+    BULK_TEXTS,
+    ids=[f"{len(a)}-symbols-{a[:4].encode('unicode_escape').decode()}-n{n}" for a, n, _ in BULK_TEXTS],
+)
+def test_canonical_payloads_are_read_in_bulk_as_the_oracle_reads_them(alphabet, n, seed, monkeypatch):
+    rng = random.Random(seed)
+    text = "".join(rng.choices(alphabet, k=n))
+    p = lex_parse(text)
+    payload = to_lines(p)
+    assert n < 20_000 or len(payload) > 4 * parse_module._CHUNK  # a long text's payload spans several chunks
+    counting = CountingPattern(parse_module._RECORD)
+    monkeypatch.setattr(parse_module, "_RECORD", counting)
+    assert from_lines(payload) == from_lines_oracle(payload) == p
+    assert counting.finditer_calls == 0
+    for name, mutated in bulk_mutations(payload, rng):
+        counting.finditer_calls = 0
+        got, want = outcome(from_lines, mutated), outcome(from_lines_oracle, mutated)
+        assert got == want, name
+        assert counting.finditer_calls == 1, name
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("alphabet", ["acgt", ALL_BYTES], ids=["acgt", "all-bytes"])
+def test_a_million_symbols_round_trip_through_the_bulk_reader(alphabet):
+    # hundreds of the bulk reader's chunks
+    text = "".join(random.Random(10**6).choices(alphabet, k=10**6))
+    p = lex_parse(text)
+    payload = to_lines(p)
+    q = from_lines(payload)
+    assert q == p == from_lines_oracle(payload)
+    assert decode(q) == text
 
 
 def test_one_parse_built_every_way_is_one_value():
